@@ -121,14 +121,16 @@ class Declarations(unittest.TestCase):
         self.assertFalse(np.array_equal(first["position"], other["position"]))
 
     def test_missing_wrapped_function_reports_layer_unmeasured(self):
-        gone = (("splatcloud.renderer", "no_such_function", "renderer.project", None),)
+        gone = (("splatcloud.renderer", "no_such_function", "renderer.project", None),
+                ("splatcloud.no_such_module", "run", "surface.select_surface", None))
         with mock.patch.object(tracer, "TARGETS", gone):
             traced = tracer.Tracer("selftest")
             traced.install()
-        self.assertEqual(traced.unmeasured, ["renderer.project"])
+        self.assertEqual(traced.unmeasured, ["renderer.project", "surface.select_surface"])
         metrics = layers.layer_metrics([], traced.unmeasured, 1.0, run.THREADS)
         self.assertNotIn("renderer.project_s", metrics)
         self.assertNotIn("renderer.inbox_frac", metrics)
+        self.assertNotIn("surface.selected", metrics)
         self.assertIn("renderer.tile_s", metrics)
 
 

@@ -180,13 +180,13 @@ class Tracer:
     def install(self) -> None:
         """Replace every target that exists; list the others as unmeasured."""
         for module_name, attr_path, name, counters in TARGETS:
-            owner = importlib.import_module(module_name)
             *parents, attr = attr_path.split(".")
             try:
+                owner = importlib.import_module(module_name)
                 for part in parents:
                     owner = getattr(owner, part)
                 original = getattr(owner, attr)
-            except AttributeError:
+            except (ImportError, AttributeError):
                 self.unmeasured.append(name)
                 continue
             setattr(owner, attr, self.wrap(original, name, counters))
