@@ -80,6 +80,9 @@ def _parse_header(data: bytes, path: Path):
             else:
                 raise FileFormatError(f"{path}: unsupported PLY format '{tokens[1]}'")
         elif tokens[0] == "element":
+            if len(tokens) != 3 or not tokens[2].isdigit():
+                raise FileFormatError(
+                    f"{path}: bad header line '{line}' (expected 'element <name> <count>')")
             elements.append(_Element(tokens[1], int(tokens[2]), []))
         elif tokens[0] == "property":
             if not elements:

@@ -46,6 +46,8 @@ class PipelineStats:
                 "tiles_subdivided": self.render.tiles_subdivided,
                 "max_tile_product": self.render.max_tile_product,
                 "singular_skips": self.render.singular_skips,
+                "pairs_evaluated": self.render.pairs_evaluated,
+                "pixels_terminated": self.render.pixels_terminated,
             }
         points = None
         if self.points is not None:

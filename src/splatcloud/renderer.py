@@ -6,8 +6,11 @@ early-out and a +0.3 pixel low-pass on the projected covariance.
 
 A Gaussian participates at a pixel only when the pixel lies inside the
 Gaussian's integer-clipped 3-sigma screen bounding box. Tile membership is
-derived from the same boxes, so the composited image is independent of the
-tile layout (subdivided or not) up to floating-point accumulation order.
+derived from the same boxes, and each pixel composites its Gaussians in
+depth order with the same floating-point operations in the same order
+however the image is tiled or a tile is chunked. The rendered planes and
+the per-Gaussian best contributions are therefore byte-identical for any
+tile layout (subdivided or not), chunk size and thread count.
 """
 
 from __future__ import annotations
@@ -34,15 +37,10 @@ ALPHA_MIN = 1.0 / 255.0
 TRANSMITTANCE_EPS = 1e-4
 COV2D_LOWPASS = 0.3
 
-# Cap on gaussians x pixels processed per compositing chunk; bounds the
-# working-set size independently of the tile budget.
-_CHUNK_ELEMENTS = 1 << 22
-
-# Pixel-block edge for the internal evaluation grid inside a tile. Each
-# gaussian is only evaluated on blocks its bbox overlaps, which prunes the
-# dense gaussians-x-pixels work without changing which gaussian composites
-# at which pixel (the bbox rule already decides that).
-_EVAL_BLOCK = 32
+# Size, in (member, pixel) pairs, of the runs of whole members composited in
+# one step. Pairs at pixels terminated by an earlier run are dropped, so
+# shorter runs skip more work at a higher per-step overhead.
+_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass
@@ -112,6 +110,7 @@ class TileComposite:
     pixel_index: np.ndarray   # global row-major pixel index
     colours: np.ndarray       # final colour of that pixel
     singular_skips: int = 0
+    pairs_evaluated: int = 0  # in-box pairs at live pixels whose falloff was computed
 
 
 @dataclass
@@ -123,6 +122,8 @@ class RenderStats:
     tiles_subdivided: int = 0
     max_tile_product: int = 0
     singular_skips: int = 0
+    pairs_evaluated: int = 0
+    pixels_terminated: int = 0
     seconds: float = 0.0
 
 
@@ -254,73 +255,16 @@ def _subdivide(rect, members, level, projected, budget, out):
                        projected, budget, out)
 
 
-def _composite_rect(x0, y0, x1, y1, mean, inv00, inv01, inv11, quad_cut,
-                    opacity, bbox, colours, background):
-    """Dense front-to-back compositing of the given rows over one pixel rect.
-
-    Returns (pixels, t_final, weight_sum, done, best_values, best_pixel_local)
-    with the pixel planes flattened row-major over the rect.
-    """
-    h, w = y1 - y0, x1 - x0
-    npix = h * w
-    pix_x = np.tile(np.arange(x0, x1), h)
-    pix_y = np.repeat(np.arange(y0, y1), w)
-    centre_x = pix_x + 0.5
-    centre_y = pix_y + 0.5
-
-    running_t = np.ones(npix)
-    done = np.zeros(npix, dtype=bool)
-    accum = np.zeros((npix, 3))
-    weight_sum = np.zeros(npix)
-
-    m = len(mean)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, npix))
-    best_values = np.zeros(m)
-    best_pixel_local = np.zeros(m, dtype=np.int64)
-
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        dx = centre_x[None, :] - mean[lo:hi, 0, None]
-        dy = centre_y[None, :] - mean[lo:hi, 1, None]
-        quad = (inv00[lo:hi, None] * dx * dx
-                + 2.0 * inv01[lo:hi, None] * dx * dy
-                + inv11[lo:hi, None] * dy * dy)
-        relevant = (
-            (pix_x[None, :] >= bbox[lo:hi, 0, None]) & (pix_x[None, :] < bbox[lo:hi, 2, None])
-            & (pix_y[None, :] >= bbox[lo:hi, 1, None]) & (pix_y[None, :] < bbox[lo:hi, 3, None])
-            # conservative pre-cut: alpha certainly below 1/255 out here
-            & (quad <= quad_cut[lo:hi, None])
-        )
-        alpha = np.zeros_like(quad)
-        np.exp(-0.5 * quad, out=alpha, where=relevant)
-        alpha *= opacity[lo:hi, None]
-        np.minimum(alpha, ALPHA_MAX, out=alpha)
-        alpha[alpha < ALPHA_MIN] = 0.0
-
-        t_raw = running_t[None, :] * np.cumprod(1.0 - alpha, axis=0)
-        alive = (~done)[None, :] & (t_raw >= TRANSMITTANCE_EPS)
-        alpha_eff = np.where(alive, alpha, 0.0)
-        t_eff = running_t[None, :] * np.cumprod(1.0 - alpha_eff, axis=0)
-        t_before = np.vstack([running_t[None, :], t_eff[:-1]])
-        weights = alpha_eff * t_before
-
-        accum += np.einsum("gp,gc->pc", weights, colours[lo:hi])
-        weight_sum += weights.sum(axis=0)
-        done |= t_raw[-1] < TRANSMITTANCE_EPS
-        running_t = t_eff[-1]
-
-        best_pixel_local[lo:hi] = np.argmax(weights, axis=1)
-        best_values[lo:hi] = weights[np.arange(hi - lo), best_pixel_local[lo:hi]]
-
-    pixels = accum + running_t[:, None] * background
-    return pixels, running_t, weight_sum, done, best_values, best_pixel_local
-
-
 def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianScene,
                    buffers: ImageBuffers, contributions: ContributionState | None = None,
                    *, background=(0.0, 0.0, 0.0), image_rank: int = 0,
                    camera_centre=None) -> TileComposite:
     """Composite one tile front to back and report best-pixel candidates.
+
+    Each member's box, clipped to the tile, expands into (member, pixel)
+    pairs, a run of whole members at a time in depth order. Pairs at pixels
+    whose transmittance fell below the early-out in an earlier run are
+    dropped before their falloff is evaluated.
 
     Writes the tile's rect into ``buffers``. When ``contributions`` is given
     the candidates are merged immediately; parallel callers instead merge
@@ -329,6 +273,8 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
     """
     background = np.asarray(background, dtype=np.float64)
     image_width = buffers.image.shape[1]
+    width, height = tile.x1 - tile.x0, tile.y1 - tile.y0
+    npix = width * height
 
     rows = tile.members
     singular = 0
@@ -342,76 +288,117 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
             cov = cov[good]
             det = det[good]
 
-    if len(rows) == 0:
-        inv00 = inv01 = inv11 = quad_cut = opacity = np.zeros(0)
-        mean = np.zeros((0, 2))
-        bbox = np.zeros((0, 4), dtype=np.int64)
-        colours = np.zeros((0, 3))
-    else:
+    # per-pixel state, row-major over the tile
+    transmittance = np.ones(npix)
+    done = np.zeros(npix, dtype=bool)
+    colour_sum = np.zeros((3, npix))
+    weight_sum = np.zeros(npix)
+
+    m = len(rows)
+    best_values = np.zeros(m)
+    best_local = np.full(m, npix, dtype=np.int64)
+    evaluated = 0
+    if m:
         inv00 = cov[:, 1, 1] / det
-        inv01 = -cov[:, 0, 1] / det
+        inv01x2 = 2.0 * (-cov[:, 0, 1] / det)
         inv11 = cov[:, 0, 0] / det
-        mean = projected.mean2d[rows]
+        mean_x = projected.mean2d[rows, 0]
+        mean_y = projected.mean2d[rows, 1]
         opacity = projected.opacity[rows]
-        bbox = projected.bbox[rows]
         colours = scene.base_colour[projected.gaussian_index[rows]]
         # quad beyond this bound implies alpha < 1/255 with margin to spare
         with np.errstate(divide="ignore"):
             quad_cut = 2.0 * (np.log(255.0) + np.log(opacity)) + 1e-9
+        box = np.clip(projected.bbox[rows] - [tile.x0, tile.y0, tile.x0, tile.y0],
+                      0, [width, height, width, height])
+        box_w = box[:, 2] - box[:, 0]
+        area = box_w * (box[:, 3] - box[:, 1])
+        # a new run starts with the member whose first pair crosses a multiple
+        # of _CHUNK_PAIRS
+        run = (np.cumsum(area) - area) // _CHUNK_PAIRS
+        bounds = np.flatnonzero(np.diff(run, prepend=-1, append=run[-1] + 1))
+        key_type = np.min_scalar_type(npix - 1)  # 16-bit keys sort by radix
+        all_pixels = np.arange(npix)
 
-    m = len(rows)
-    best_values = np.zeros(m)
-    best_pixel = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-    best_colours = np.zeros((m, 3))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            counts = area[lo:hi]
+            member = np.repeat(np.arange(lo, hi), counts)
+            offset = np.arange(len(member)) - np.repeat(np.cumsum(counts) - counts, counts)
+            local_y, local_x = np.divmod(offset, np.repeat(box_w[lo:hi], counts))
+            local_x += np.repeat(box[lo:hi, 0], counts)
+            local_y += np.repeat(box[lo:hi, 1], counts)
+            pixel = local_y * width + local_x
+            live = np.flatnonzero(~done[pixel])
+            member, pixel = member[live], pixel[live]
+            evaluated += len(member)
 
-    for block_y0 in range(tile.y0, tile.y1, _EVAL_BLOCK):
-        block_y1 = min(block_y0 + _EVAL_BLOCK, tile.y1)
-        for block_x0 in range(tile.x0, tile.x1, _EVAL_BLOCK):
-            block_x1 = min(block_x0 + _EVAL_BLOCK, tile.x1)
-            if m:
-                inside = (
-                    (bbox[:, 0] < block_x1) & (bbox[:, 2] > block_x0)
-                    & (bbox[:, 1] < block_y1) & (bbox[:, 3] > block_y0)
-                )
-                sub = np.nonzero(inside)[0]
-            else:
-                sub = np.zeros(0, dtype=np.int64)
-            pixels, t_final, weight_sum, done, values, pixel_local = _composite_rect(
-                block_x0, block_y0, block_x1, block_y1,
-                mean[sub], inv00[sub], inv01[sub], inv11[sub], quad_cut[sub],
-                opacity[sub], bbox[sub], colours[sub], background)
-
-            bh, bw = block_y1 - block_y0, block_x1 - block_x0
-            buffers.image[block_y0:block_y1, block_x0:block_x1] = pixels.reshape(bh, bw, 3)
-            buffers.t_final[block_y0:block_y1, block_x0:block_x1] = t_final.reshape(bh, bw)
-            buffers.weight_sum[block_y0:block_y1, block_x0:block_x1] = \
-                weight_sum.reshape(bh, bw)
-            buffers.terminated[block_y0:block_y1, block_x0:block_x1] = done.reshape(bh, bw)
-
-            contributing = values > 0.0
-            if not np.any(contributing):
+            # Falloff per pair. Outputs are compared byte for byte across
+            # tile layouts and chunk sizes, so keep this operation order.
+            dx = (local_x[live] + tile.x0 + 0.5) - mean_x[member]
+            dy = (local_y[live] + tile.y0 + 0.5) - mean_y[member]
+            quad = inv00[member] * dx * dx + inv01x2[member] * dx * dy + inv11[member] * dy * dy
+            near = np.flatnonzero(quad <= quad_cut[member])
+            alpha = np.exp(-0.5 * quad[near])
+            alpha *= opacity[member[near]]
+            np.minimum(alpha, ALPHA_MAX, out=alpha)
+            visible = alpha >= ALPHA_MIN
+            if not visible.any():
                 continue
-            candidates = sub[contributing]
-            local = pixel_local[contributing]
-            pixel_global = ((block_y0 + local // bw) * image_width
-                            + block_x0 + local % bw).astype(np.int64)
-            candidate_values = values[contributing]
-            better = (candidate_values > best_values[candidates]) | (
-                (candidate_values == best_values[candidates])
-                & (pixel_global < best_pixel[candidates])
-            )
-            winners = candidates[better]
-            best_values[winners] = candidate_values[better]
-            best_pixel[winners] = pixel_global[better]
-            best_colours[winners] = pixels[local[better]]
+            near, alpha = near[visible], alpha[visible]
 
-    contributing = best_values > 0.0
+            # stable sort keeps each pixel's pairs front to back
+            order = np.argsort(pixel[near].astype(key_type), kind="stable")
+            member, pixel, alpha = member[near[order]], pixel[near[order]], alpha[order]
+            first = np.flatnonzero(np.diff(pixel, prepend=-1))
+            active = pixel[first]
+            depth = np.diff(first, append=len(pixel))
+            slot = np.repeat(np.arange(len(active)), depth)
+            before = (np.arange(len(pixel)) - np.repeat(first, depth)) * len(active) + slot
+            after = before + len(active)
+
+            # Row 0 carries each active pixel's transmittance in, row k + 1
+            # holds 1 - alpha of its k-th pair; cumprod runs down each column
+            # in order, which is the per-pixel recurrence bit for bit.
+            grid = np.ones((depth.max() + 1, len(active)))
+            grid[0] = transmittance[active]
+            flat = grid.reshape(-1)
+            flat[after] = 1.0 - alpha
+            np.cumprod(grid, axis=0, out=grid)
+            alive = flat[after] >= TRANSMITTANCE_EPS  # a prefix of each pixel's pairs
+            kept = np.bincount(slot[alive], minlength=len(active))
+            transmittance[active] = grid[kept, np.arange(len(active))]
+            done[active[kept < depth]] = True
+
+            weight = alpha[alive] * flat[before[alive]]
+            member, pixel = member[alive], pixel[alive]
+            # bincount adds in input order: the carried sum, then pairs front to back
+            bins = np.concatenate([all_pixels, pixel])
+            weight_sum = np.bincount(bins, np.concatenate([weight_sum, weight]), npix)
+            for c in range(3):
+                colour_sum[c] = np.bincount(
+                    bins, np.concatenate([colour_sum[c], weight * colours[member, c]]), npix)
+
+            # a member's pairs all fall in one run: strictly larger wins,
+            # ties go to the lower pixel
+            np.maximum.at(best_values, member, weight)
+            tie = weight == best_values[member]
+            np.minimum.at(best_local, member[tie], pixel[tie])
+
+    pixels = colour_sum.T + transmittance[:, None] * background
+    buffers.image[tile.y0:tile.y1, tile.x0:tile.x1] = pixels.reshape(height, width, 3)
+    buffers.t_final[tile.y0:tile.y1, tile.x0:tile.x1] = transmittance.reshape(height, width)
+    buffers.weight_sum[tile.y0:tile.y1, tile.x0:tile.x1] = weight_sum.reshape(height, width)
+    buffers.terminated[tile.y0:tile.y1, tile.x0:tile.x1] = done.reshape(height, width)
+
+    contributing = np.flatnonzero(best_values > 0.0)
+    local = best_local[contributing]
     result = TileComposite(
         rows=rows[contributing],
         values=best_values[contributing],
-        pixel_index=best_pixel[contributing],
-        colours=best_colours[contributing],
+        pixel_index=(tile.y0 + local // width) * image_width + tile.x0 + local % width,
+        colours=pixels[local],
         singular_skips=singular,
+        pairs_evaluated=evaluated,
     )
     if contributions is not None:
         contributions.offer(
@@ -453,8 +440,10 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
     else:
         results = [run_tile(tile) for tile in tiles]
 
+    stats.pixels_terminated = int(np.count_nonzero(buffers.terminated))
     for piece in results:
         stats.singular_skips += piece.singular_skips
+        stats.pairs_evaluated += piece.pairs_evaluated
         if contributions is not None and len(piece.rows):
             contributions.offer(
                 projected.gaussian_index[piece.rows], piece.values, piece.colours,
@@ -500,9 +489,15 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
         total.tiles_subdivided += stats.tiles_subdivided
         total.max_tile_product = max(total.max_tile_product, stats.max_tile_product)
         total.singular_skips += stats.singular_skips
+        total.pairs_evaluated += stats.pairs_evaluated
+        total.pixels_terminated += stats.pixels_terminated
         if config.save_renders is not None:
             write_ppm(Path(config.save_renders) / f"render_{rank:04d}.ppm", buffers.image)
-        log.debug("rendered image %d/%d (image_id=%s)", rank + 1, len(ordered), pose.image_id)
+        elapsed = time.perf_counter() - started
+        remaining = len(ordered) - rank - 1
+        log.info("rendered view %d/%d (image_id=%s), %.1fs elapsed, ETA %.1fs",
+                 rank + 1, len(ordered), pose.image_id, elapsed,
+                 elapsed / (rank + 1) * remaining)
     total.seconds = time.perf_counter() - started
     return total
 

@@ -86,6 +86,8 @@ def test_happy_path_with_cameras(tmp_path, scene_ply, colmap_dir, capsys):
     cloud = read_pointcloud_ply(out)
     assert len(cloud) == emitted
     assert stats["render"]["images"] == 2
+    assert stats["render"]["pairs_evaluated"] > 0
+    assert stats["render"]["pixels_terminated"] >= 0
 
 
 def test_without_cameras_uses_base_colours(tmp_path, scene_ply, caplog):
@@ -156,6 +158,17 @@ def test_bad_ply_is_runtime_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "load-gaussians" in err and "missing property" in err
     assert not out.exists()
+
+
+def test_bad_ply_element_count_is_runtime_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ply"
+    bad.write_text("ply\nformat ascii 1.0\nelement vertex abc\n"
+                   "property float x\nend_header\n")
+    out = tmp_path / "cloud.ply"
+    assert main([str(bad), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "load-gaussians" in err and "'element vertex abc'" in err
+    assert "invalid literal" not in err
 
 
 def test_mesh_prep_without_cameras_fails_and_cleans_up(tmp_path, scene_ply):

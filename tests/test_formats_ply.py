@@ -149,6 +149,15 @@ def test_not_a_ply(tmp_path):
         load_gaussians_ply(path)
 
 
+@pytest.mark.parametrize("line", ["element vertex abc", "element vertex", "element vertex -3"])
+def test_bad_element_count_is_format_error(tmp_path, line):
+    path = tmp_path / "scene.ply"
+    path.write_text(ASCII_FIXTURE.replace("element vertex 3", line))
+    with pytest.raises(FileFormatError) as caught:
+        load_gaussians_ply(path)
+    assert str(path) in str(caught.value) and f"'{line}'" in str(caught.value)
+
+
 # ---------------------------------------------------------------------------
 # point cloud writer
 

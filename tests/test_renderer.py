@@ -9,6 +9,7 @@ from reference import (
     merge_best,
     sampled_screen_cov,
 )
+from splatcloud import renderer
 from splatcloud.config import RenderConfig
 from splatcloud.errors import DomainError
 from splatcloud.renderer import (
@@ -273,7 +274,7 @@ def assert_matches_reference(scene, pose, config=None, atol=1e-9):
     state = scene.contribution
     state.reset(config.background)
     state.rendered = True
-    buffers, _ = render_image(scene, pose, config, 0, state)
+    buffers, stats = render_image(scene, pose, config, 0, state)
     image, t_final, weight_sum, terminated, best = composite_reference(
         projected, scene.base_colour, config.background, pose.width, pose.height)
 
@@ -288,7 +289,7 @@ def assert_matches_reference(scene, pose, config=None, atol=1e-9):
         np.testing.assert_allclose(state.best_colour[gaussian], colour, atol=atol)
     unseen = np.setdiff1d(np.arange(scene.count), list(best))
     assert np.all(state.best_contribution[unseen] == 0.0)
-    return buffers
+    return buffers, stats
 
 
 def test_render_matches_sequential_reference(rng):
@@ -310,8 +311,42 @@ def test_render_matches_reference_with_early_termination(rng):
                              opacity_logit_range=(4.5, 6.0))
     scene = activate(records)
     pose = frontal_pose(width=32, height=32, focal=40.0)
-    buffers = assert_matches_reference(scene, pose)
+    buffers, _ = assert_matches_reference(scene, pose)
     assert buffers.terminated.any(), "fixture must actually trigger the early-out"
+
+
+def test_pair_chunking_is_exact_and_drops_terminated_pixels(rng, monkeypatch):
+    # an opaque stack in front hides small gaussians behind it, so with short
+    # chunks every pair of those members lands on a terminated pixel
+    front = random_records(rng, 14, spread=0.05, log_scale_range=(-0.6, -0.3),
+                           opacity_logit_range=(4.5, 6.0))
+    hidden = random_records(rng, 10, spread=0.1, log_scale_range=(-3.0, -2.5))
+    for record in hidden:
+        record.position[2] += 1.5
+    scene = activate(front + hidden)
+    pose = frontal_pose(width=32, height=32, focal=40.0)
+
+    runs = []
+    for chunk_pairs in (1, 509, renderer._CHUNK_PAIRS):
+        monkeypatch.setattr(renderer, "_CHUNK_PAIRS", chunk_pairs)
+        buffers, stats = assert_matches_reference(scene, pose)
+        state = scene.contribution
+        runs.append((buffers, [column.copy() for column in (
+            state.best_contribution, state.best_colour, state.best_image_rank,
+            state.best_pixel_index, state.best_camera_centre)], stats))
+
+    buffers, columns, stats = runs[0]
+    assert stats.pixels_terminated == np.count_nonzero(buffers.terminated) > 0
+    assert any(buffers.terminated[y0:y1, x0:x1].all()
+               for x0, y0, x1, y1 in project(scene, pose).bbox), \
+        "fixture must hide some member wholly behind terminated pixels"
+    assert stats.pairs_evaluated < runs[-1][2].pairs_evaluated
+
+    for other, other_columns, _ in runs[1:]:
+        for plane in ("image", "t_final", "weight_sum", "terminated"):
+            assert getattr(buffers, plane).tobytes() == getattr(other, plane).tobytes()
+        for column, other_column in zip(columns, other_columns):
+            assert column.tobytes() == other_column.tobytes()
 
 
 def test_transmittance_conservation(rng):
@@ -386,10 +421,10 @@ def test_subdivided_equals_giant_tile(rng):
         scene, pose, RenderConfig(tile_budget=2**40, tile_size=4096, threads=1), 0, state_b)
     assert stats_b.tiles == 1
 
-    np.testing.assert_allclose(buffers_a.image, buffers_b.image, atol=1e-6)
+    assert buffers_a.image.tobytes() == buffers_b.image.tobytes()
     np.testing.assert_array_equal(best_a[1], state_b.best_pixel_index)
-    np.testing.assert_allclose(best_a[0], state_b.best_contribution, atol=1e-12)
-    np.testing.assert_allclose(best_a[2], state_b.best_colour, atol=1e-9)
+    assert best_a[0].tobytes() == state_b.best_contribution.tobytes()
+    assert best_a[2].tobytes() == state_b.best_colour.tobytes()
 
 
 def test_rendering_deterministic_across_threads(rng):
@@ -426,6 +461,17 @@ def test_image_invariant_under_input_permutation(rng):
     shuffled = [records[i] for i in rng.permutation(15)]
     permuted, _ = render_image(activate(shuffled), pose, RenderConfig(threads=1))
     assert base.image.tobytes() == permuted.image.tobytes()
+
+
+def test_render_all_logs_progress_per_view(rng, caplog):
+    scene = random_scene(rng, 5)
+    poses = [frontal_pose(image_id=i, width=16, height=16) for i in range(3)]
+    with caplog.at_level("INFO", logger="splatcloud.renderer"):
+        render_all(scene, poses, RenderConfig(threads=1))
+    lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert [line.split(" (")[0] for line in lines] == [
+        "rendered view 1/3", "rendered view 2/3", "rendered view 3/3"]
+    assert all("elapsed, ETA" in line for line in lines)
 
 
 def test_skip_cameras_drops_every_kth(rng):
