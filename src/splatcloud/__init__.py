@@ -2,7 +2,7 @@
 
 from .config import FilterConfig, PipelineConfig, RenderConfig, SamplerConfig, SurfaceConfig
 from .pipeline import PipelineStats, detect_format, run
-from .types import CameraPose, PointCloud, RawGaussianRecord
+from .types import CameraPose, PointCloud, RawGaussians
 
 __version__ = "0.1.0"
 
@@ -12,7 +12,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineStats",
     "PointCloud",
-    "RawGaussianRecord",
+    "RawGaussians",
     "RenderConfig",
     "SamplerConfig",
     "SurfaceConfig",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,6 +12,11 @@ DEFAULT_NUM_POINTS = 10_000_000
 DEFAULT_SURFACE_POINTS = 5_000_000
 DEFAULT_TILE_BUDGET = 2**24
 DEFAULT_TILE_SIZE = 64
+
+
+def resolve_workers(threads: int) -> int:
+    """Worker count for a ``--threads`` value: 0 means one per CPU."""
+    return threads if threads > 0 else (os.cpu_count() or 1)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import FileFormatError
+from ..scene import quats_to_rotmats
 from ..types import CameraPose
 
 # model_id -> (name, number of parameters)
@@ -50,16 +51,6 @@ class _Image:
     tvec: np.ndarray
     camera_id: int
     name: str
-
-
-def quat_to_rotmat(q) -> np.ndarray:
-    """Rotation matrix of a (w, x, y, z) quaternion (normalised first)."""
-    w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -190,7 +181,7 @@ def load_cameras_colmap(directory) -> list[CameraPose]:
             )
         fx, fy, cx, cy = _intrinsics(camera)
         world_to_camera = np.eye(4)
-        world_to_camera[:3, :3] = quat_to_rotmat(image.qvec)
+        world_to_camera[:3, :3] = quats_to_rotmats(image.qvec / np.linalg.norm(image.qvec))
         world_to_camera[:3, 3] = image.tvec
         poses.append(CameraPose(
             image_id=image.image_id,

@@ -9,7 +9,6 @@ property order are tolerated.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import FileFormatError, TruncatedFileError
-from ..types import PointCloud, RawGaussianRecord
-
-log = logging.getLogger(__name__)
+from ..types import PointCloud, RawGaussians
 
 # PLY scalar type -> (numpy little-endian dtype, size in bytes)
 _SCALAR_TYPES = {
@@ -58,6 +55,10 @@ class _Element:
         return sum(_SCALAR_TYPES[t][1] for _, t in self.properties)
 
 
+def _bad_header_line(path: Path, line: str, expected: str) -> FileFormatError:
+    return FileFormatError(f"{path}: bad header line '{line}' (expected '{expected}')")
+
+
 def _parse_header(data: bytes, path: Path):
     """Return (format, elements, body offset). Raises on anything non-PLY."""
     end = data.find(b"end_header\n")
@@ -73,6 +74,8 @@ def _parse_header(data: bytes, path: Path):
         if not tokens or tokens[0] in ("comment", "obj_info"):
             continue
         if tokens[0] == "format":
+            if len(tokens) < 2:
+                raise _bad_header_line(path, line, "format <type> <version>")
             if tokens[1] == "ascii":
                 fmt = "ascii"
             elif tokens[1] == "binary_little_endian":
@@ -81,15 +84,19 @@ def _parse_header(data: bytes, path: Path):
                 raise FileFormatError(f"{path}: unsupported PLY format '{tokens[1]}'")
         elif tokens[0] == "element":
             if len(tokens) != 3 or not tokens[2].isdigit():
-                raise FileFormatError(
-                    f"{path}: bad header line '{line}' (expected 'element <name> <count>')")
+                raise _bad_header_line(path, line, "element <name> <count>")
             elements.append(_Element(tokens[1], int(tokens[2]), []))
         elif tokens[0] == "property":
             if not elements:
                 raise FileFormatError(f"{path}: property before any element")
-            if tokens[1] == "list":
+            if len(tokens) > 1 and tokens[1] == "list":
+                if len(tokens) < 5:
+                    raise _bad_header_line(
+                        path, line, "property list <count type> <item type> <name>")
                 elements[-1].properties.append((tokens[4], ""))
             else:
+                if len(tokens) < 3:
+                    raise _bad_header_line(path, line, "property <type> <name>")
                 if tokens[1] not in _SCALAR_TYPES:
                     raise FileFormatError(f"{path}: unknown property type '{tokens[1]}'")
                 elements[-1].properties.append((tokens[2], tokens[1]))
@@ -101,7 +108,11 @@ def _parse_header(data: bytes, path: Path):
 
 
 def _read_vertex_table(path: Path):
-    """Parse the vertex element into a dict of property name -> float64 column."""
+    """Parse the vertex element into a dict of property name -> 1-D column.
+
+    Binary columns are views into the file bytes in their stored type; ascii
+    columns are float64.
+    """
     data = Path(path).read_bytes()
     fmt, elements, offset = _parse_header(data, Path(path))
 
@@ -129,7 +140,7 @@ def _read_vertex_table(path: Path):
                 byte_offset=len(data),
             )
         table = np.frombuffer(data, dtype=dtype, count=vertex.count, offset=offset)
-        return vertex, {n: table[n].astype(np.float64) for n, _ in vertex.properties}
+        return vertex, {n: table[n] for n, _ in vertex.properties}
 
     # ascii: one line per row for every element, in declaration order
     body_lines = data[offset:].decode("ascii", errors="replace").splitlines()
@@ -155,12 +166,12 @@ def _read_vertex_table(path: Path):
     return vertex, {n: columns[:, j] for j, (n, _) in enumerate(vertex.properties)}
 
 
-def load_gaussians_ply(path) -> list[RawGaussianRecord]:
-    """Load raw Gaussian records from a 3DGS-style PLY file.
+def load_gaussians_ply(path) -> RawGaussians:
+    """Load raw Gaussians from a 3DGS-style PLY file.
 
-    Fields are mapped by property name, not position. Records with a
-    zero-norm quaternion or non-finite log-scales are rejected (dropped
-    with a warning) since nothing downstream can use them.
+    Fields are mapped by property name, not position. Rows with a
+    non-finite value in a field used downstream, or a zero-norm quaternion,
+    are dropped with a warning (:meth:`RawGaussians.drop_invalid`).
     """
     path = Path(path)
     vertex, cols = _read_vertex_table(path)
@@ -174,36 +185,20 @@ def load_gaussians_ply(path) -> list[RawGaussianRecord]:
         key=lambda n: int(_F_REST.match(n).group(1)),
     )
 
-    position = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
-    sh_dc = np.stack([cols["f_dc_0"], cols["f_dc_1"], cols["f_dc_2"]], axis=1)
-    log_scale = np.stack([cols["scale_0"], cols["scale_1"], cols["scale_2"]], axis=1)
-    rotation = np.stack([cols[f"rot_{i}"] for i in range(4)], axis=1)
-    opacity = cols["opacity"]
-    sh_rest = (
-        np.stack([cols[n] for n in rest_names], axis=1)
-        if rest_names
-        else np.zeros((vertex.count, 0))
-    )
+    def stack(columns):
+        # (k, N) then transposed: RawGaussians makes the one float64 (N, k) copy
+        return np.stack([cols[n] for n in columns]).T if columns \
+            else np.zeros((vertex.count, 0))
 
-    records = []
-    dropped = 0
-    for i in range(vertex.count):
-        record = RawGaussianRecord(
-            position=position[i],
-            log_scale=log_scale[i],
-            rotation=rotation[i],
-            logit_opacity=float(opacity[i]),
-            sh_dc=sh_dc[i],
-            sh_rest=sh_rest[i],
-        )
-        if record.is_valid():
-            records.append(record)
-        else:
-            dropped += 1
-    if dropped:
-        log.warning("%s: dropped %d invalid records (zero quaternion or non-finite scale)",
-                    path, dropped)
-    return records
+    raw = RawGaussians(
+        position=stack(["x", "y", "z"]),
+        log_scale=stack(["scale_0", "scale_1", "scale_2"]),
+        rotation=stack([f"rot_{i}" for i in range(4)]),
+        logit_opacity=cols["opacity"],
+        sh_dc=stack(["f_dc_0", "f_dc_1", "f_dc_2"]),
+        sh_rest=stack(rest_names),
+    )
+    return raw.drop_invalid(path)
 
 
 def write_pointcloud_ply(cloud: PointCloud, path) -> None:
@@ -276,23 +271,21 @@ def read_pointcloud_ply(path) -> PointCloud:
     return PointCloud(points=points, colours=colours, normals=normals)
 
 
-def write_gaussians_ply(records: list[RawGaussianRecord], path, binary: bool = True) -> None:
-    """Write raw records back out in the 3DGS PLY layout (round-trip helper)."""
+def write_gaussians_ply(raw: RawGaussians, path, binary: bool = True) -> None:
+    """Write raw Gaussians back out in the 3DGS PLY layout (round-trip helper)."""
     path = Path(path)
-    n_rest = len(records[0].sh_rest) if records else 0
+    n_rest = raw.sh_rest.shape[1]
     names = list(_REQUIRED_PROPERTIES[:6]) + [f"f_rest_{i}" for i in range(n_rest)] + \
         list(_REQUIRED_PROPERTIES[6:])
     header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
-              f"element vertex {len(records)}"]
+              f"element vertex {len(raw)}"]
     header += [f"property float {n}" for n in names]
     header.append("end_header")
 
-    rows = np.empty((len(records), len(names)), dtype=np.float32)
-    for i, rec in enumerate(records):
-        rows[i] = np.concatenate([
-            rec.position, rec.sh_dc, rec.sh_rest,
-            [rec.logit_opacity], rec.log_scale, rec.rotation,
-        ])
+    rows = np.concatenate([
+        raw.position, raw.sh_dc, raw.sh_rest,
+        raw.logit_opacity[:, None], raw.log_scale, raw.rotation,
+    ], axis=1).astype(np.float32)
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         if binary:

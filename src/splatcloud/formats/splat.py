@@ -9,20 +9,15 @@ Record layout (little endian):
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import FileFormatError
-from ..types import RawGaussianRecord
-
-log = logging.getLogger(__name__)
+from ..scene import SH_C0
+from ..types import RawGaussians
 
 RECORD_SIZE = 32
-
-# Degree-0 SH basis constant; colour = 0.5 + C0 * coefficient.
-SH_C0 = 0.28209479177387814
 
 # Alpha bytes of 0/255 would give infinite logits; clamp 1/512 away from both ends.
 ALPHA_CLAMP = 1.0 / 512.0
@@ -35,8 +30,12 @@ _RECORD_DTYPE = np.dtype([
 ])
 
 
-def load_gaussians_splat(path) -> list[RawGaussianRecord]:
-    """Decode a .splat file into raw Gaussian records."""
+def load_gaussians_splat(path) -> RawGaussians:
+    """Decode a .splat file into raw Gaussians.
+
+    Rows with a non-finite position or scale, or a zero-norm quaternion,
+    are dropped with a warning (:meth:`RawGaussians.drop_invalid`).
+    """
     path = Path(path)
     data = path.read_bytes()
     if len(data) % RECORD_SIZE != 0:
@@ -60,43 +59,28 @@ def load_gaussians_splat(path) -> list[RawGaussianRecord]:
     rotation = (table["quat"].astype(np.float64) - 128.0) / 128.0
     position = table["position"].astype(np.float64)
 
-    records = []
-    dropped = 0
-    for i in range(len(table)):
-        record = RawGaussianRecord(
-            position=position[i],
-            log_scale=log_scale[i],
-            rotation=rotation[i],
-            logit_opacity=float(logit_opacity[i]),
-            sh_dc=sh_dc[i],
-        )
-        if record.is_valid():
-            records.append(record)
-        else:
-            dropped += 1
-    if dropped:
-        log.warning("%s: dropped %d records with zero-norm quaternions", path, dropped)
-    return records
+    raw = RawGaussians(position=position, log_scale=log_scale, rotation=rotation,
+                       logit_opacity=logit_opacity, sh_dc=sh_dc)
+    return raw.drop_invalid(path)
 
 
-def encode_gaussians_splat(records: list[RawGaussianRecord]) -> bytes:
-    """Encode records back into .splat bytes (inverse of the loader).
+def encode_gaussians_splat(raw: RawGaussians) -> bytes:
+    """Encode raw Gaussians back into .splat bytes (inverse of the loader).
 
     Decode -> encode -> decode is a fixed point: the first decode already
     lands on the u8-quantised grid, so re-encoding reproduces the bytes.
     """
-    table = np.empty(len(records), dtype=_RECORD_DTYPE)
-    for i, rec in enumerate(records):
-        table["position"][i] = rec.position.astype(np.float32)
-        table["scale"][i] = np.exp(rec.log_scale).astype(np.float32)
-        colour = np.clip(0.5 + SH_C0 * rec.sh_dc, 0.0, 1.0)
-        opacity = 1.0 / (1.0 + np.exp(-rec.logit_opacity))
-        table["rgba"][i, :3] = np.floor(colour * 255.0 + 0.5).astype(np.uint8)
-        table["rgba"][i, 3] = int(np.floor(opacity * 255.0 + 0.5))
-        quat = np.clip(np.floor(rec.rotation * 128.0 + 128.0 + 0.5), 0, 255)
-        table["quat"][i] = quat.astype(np.uint8)
+    table = np.empty(len(raw), dtype=_RECORD_DTYPE)
+    table["position"] = raw.position.astype(np.float32)
+    table["scale"] = np.exp(raw.log_scale).astype(np.float32)
+    colour = np.clip(0.5 + SH_C0 * raw.sh_dc, 0.0, 1.0)
+    opacity = 1.0 / (1.0 + np.exp(-raw.logit_opacity))
+    table["rgba"][:, :3] = np.floor(colour * 255.0 + 0.5).astype(np.uint8)
+    table["rgba"][:, 3] = np.floor(opacity * 255.0 + 0.5).astype(np.uint8)
+    quat = np.clip(np.floor(raw.rotation * 128.0 + 128.0 + 0.5), 0, 255)
+    table["quat"] = quat.astype(np.uint8)
     return table.tobytes()
 
 
-def write_gaussians_splat(records: list[RawGaussianRecord], path) -> None:
-    Path(path).write_bytes(encode_gaussians_splat(records))
+def write_gaussians_splat(raw: RawGaussians, path) -> None:
+    Path(path).write_bytes(encode_gaussians_splat(raw))

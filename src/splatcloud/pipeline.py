@@ -152,9 +152,9 @@ def run(config: PipelineConfig) -> PipelineStats:
     total_start = time.perf_counter()
 
     try:
-        records = clock.run("load-gaussians", lambda: _load_gaussians(Path(config.input_gaussians)))
-        stats.gaussians_loaded = len(records)
-        log.info("loaded %d gaussians from %s", len(records), config.input_gaussians)
+        raw = clock.run("load-gaussians", lambda: _load_gaussians(Path(config.input_gaussians)))
+        stats.gaussians_loaded = len(raw)
+        log.info("loaded %d gaussians from %s", len(raw), config.input_gaussians)
 
         poses = []
         if config.input_cameras is not None:
@@ -162,7 +162,7 @@ def run(config: PipelineConfig) -> PipelineStats:
             stats.cameras = len(poses)
             log.info("loaded %d camera poses from %s", len(poses), config.input_cameras)
 
-        scene = clock.run("activate", lambda: activate(records, config.background))
+        scene = clock.run("activate", lambda: activate(raw, config.background))
 
         if config.filters.any_enabled():
             scene = clock.run("filter", lambda s=scene: filter_scene(s, config.filters))

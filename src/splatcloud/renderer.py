@@ -16,7 +16,6 @@ tile layout (subdivided or not), chunk size and thread count.
 from __future__ import annotations
 
 import logging
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RenderConfig
+from .config import RenderConfig, resolve_workers
 from .errors import DomainError
+from .sampler import quantize_colours
 from .scene import ContributionState, GaussianScene
 from .types import CameraPose
 
@@ -433,7 +433,7 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
                               background=config.background,
                               image_rank=image_rank, camera_centre=centre)
 
-    workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
+    workers = resolve_workers(config.threads)
     if workers > 1 and len(tiles) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_tile, tiles))
@@ -502,14 +502,9 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
     return total
 
 
-def quantize_image(image: np.ndarray) -> np.ndarray:
-    """Map float [0, 1] channels to uint8 with round-half-up."""
-    return np.clip(np.floor(image * 255.0 + 0.5), 0, 255).astype(np.uint8)
-
-
 def write_ppm(path, image: np.ndarray) -> None:
     """Write a float image as binary 8-bit PPM (P6); bit-exact baseline dump."""
-    data = quantize_image(image)
+    data = quantize_colours(image)
     height, width = data.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))

@@ -8,14 +8,13 @@ count), so results do not depend on worker count or batch execution order.
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .config import SamplerConfig
+from .config import SamplerConfig, resolve_workers
 from .errors import DegenerateGaussianError, DomainError
 from .scene import GaussianScene
 from .types import PointCloud
@@ -208,7 +207,7 @@ def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
     def run(batch: SampleBatch):
         return sample_batch(batch, scene, config.sigma, config.max_resample_rounds)
 
-    workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
+    workers = resolve_workers(config.threads)
     if workers > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, batches))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import FilterConfig
 from .errors import DegenerateGaussianError, DomainError
-from .types import RawGaussianRecord
+from .types import RawGaussians
 
 log = logging.getLogger(__name__)
 
@@ -234,26 +234,21 @@ class GaussianScene:
         )
 
 
-def activate(records: list[RawGaussianRecord], background=(0.0, 0.0, 0.0)) -> GaussianScene:
-    """Turn raw records into a render-ready scene.
+def activate(raw: RawGaussians, background=(0.0, 0.0, 0.0)) -> GaussianScene:
+    """Turn raw Gaussians into a render-ready scene.
 
     Applies sigmoid to opacity logits, normalises quaternions, evaluates the
     degree-0 SH colour and assembles covariances. Gaussians whose covariance
     cannot be factorised are dropped with a warning.
     """
-    if not records:
-        raise DomainError("cannot activate an empty record list")
+    if len(raw) == 0:
+        raise DomainError("cannot activate an empty set of gaussians")
 
-    position = np.stack([r.position for r in records]).astype(np.float64)
-    log_scale = np.stack([r.log_scale for r in records]).astype(np.float64)
-    rotation = np.stack([r.rotation for r in records]).astype(np.float64)
-    logit_opacity = np.array([r.logit_opacity for r in records], dtype=np.float64)
-    sh_dc = np.stack([r.sh_dc for r in records]).astype(np.float64)
-
-    norm = np.linalg.norm(rotation, axis=1, keepdims=True)
-    rotation_unit = rotation / norm
-    opacity = sigmoid(logit_opacity)
-    base_colour = np.clip(0.5 + SH_C0 * sh_dc, 0.0, 1.0)
+    position, log_scale = raw.position, raw.log_scale
+    norm = np.linalg.norm(raw.rotation, axis=1, keepdims=True)
+    rotation_unit = raw.rotation / norm
+    opacity = sigmoid(raw.logit_opacity)
+    base_colour = np.clip(0.5 + SH_C0 * raw.sh_dc, 0.0, 1.0)
 
     covariance, chol, ok = _regularised_covariances(log_scale, rotation_unit)
     if not np.all(ok):

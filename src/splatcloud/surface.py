@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import SamplerConfig, SurfaceConfig
+from .config import SamplerConfig, SurfaceConfig, resolve_workers
 from .errors import DomainError
 from .sampler import SampleStats, _sample_scene
 from .scene import GaussianScene, quats_to_rotmats
@@ -69,10 +69,12 @@ def surface_normals(scene: GaussianScene, selection: SurfaceSelection) -> np.nda
 
 
 def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
-                                std_ratio: float = 2.0) -> PointCloud:
+                                std_ratio: float = 2.0, workers: int = 1) -> PointCloud:
     """Drop points whose mean k-NN distance exceeds mean + std_ratio * std.
 
-    Exact nearest neighbours via a KD-tree; survivor order is preserved.
+    Exact nearest neighbours via a KD-tree queried on ``workers`` threads;
+    each query's result is independent of the split, so the survivors (in
+    their original order) are the same for any worker count.
     """
     if k_neighbours < 1:
         raise DomainError(f"k_neighbours must be >= 1, got {k_neighbours}")
@@ -84,7 +86,7 @@ def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
         )
     points = cloud.points.astype(np.float64)
     tree = cKDTree(points)
-    distances, _ = tree.query(points, k=k_neighbours + 1)
+    distances, _ = tree.query(points, k=k_neighbours + 1, workers=workers)
     mean_distance = distances[:, 1:].mean(axis=1)  # column 0 is the point itself
     threshold = mean_distance.mean() + std_ratio * mean_distance.std()
     keep = mean_distance <= threshold
@@ -115,5 +117,6 @@ def export_surface_cloud(scene: GaussianScene, sampler_config: SamplerConfig,
         colours=colours,
         normals=normals[gaussian_ids].astype(np.float32),
     )
-    cloud = remove_statistical_outliers(cloud, surface_config.sor_k, surface_config.sor_std)
+    cloud = remove_statistical_outliers(cloud, surface_config.sor_k, surface_config.sor_std,
+                                        workers=resolve_workers(sampler_config.threads))
     return cloud, stats

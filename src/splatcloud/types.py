@@ -2,35 +2,76 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError
 
+log = logging.getLogger(__name__)
+
 
 @dataclass
-class RawGaussianRecord:
-    """One Gaussian exactly as stored on disk, before any activation.
+class RawGaussians:
+    """Gaussians exactly as stored on disk, before any activation; one row each.
 
-    ``rotation`` is the raw (w, x, y, z) quaternion and may be unnormalised;
+    ``rotation`` holds raw (w, x, y, z) quaternions that may be unnormalised;
     ``log_scale`` holds the log of the per-axis standard deviation.
     ``sh_rest`` keeps any higher-order SH coefficients so that round trips
-    are lossless, but nothing downstream reads them.
+    are lossless, but nothing downstream reads them. Every column is stored
+    as a C-contiguous float64 array.
     """
 
-    position: np.ndarray
-    log_scale: np.ndarray
-    rotation: np.ndarray
-    logit_opacity: float
-    sh_dc: np.ndarray
-    sh_rest: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
+    position: np.ndarray        # (N, 3)
+    log_scale: np.ndarray       # (N, 3)
+    rotation: np.ndarray        # (N, 4)
+    logit_opacity: np.ndarray   # (N,)
+    sh_dc: np.ndarray           # (N, 3)
+    sh_rest: np.ndarray | None = None  # (N, K); None means K = 0
 
-    def is_valid(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.log_scale))
-            and float(np.linalg.norm(self.rotation)) > 0.0
+    def __post_init__(self):
+        for name, width in (("position", 3), ("log_scale", 3), ("rotation", 4), ("sh_dc", 3)):
+            values = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, values.reshape(-1, width))
+        self.logit_opacity = np.ascontiguousarray(self.logit_opacity, dtype=np.float64).reshape(-1)
+        rest = np.zeros((len(self.position), 0)) if self.sh_rest is None else self.sh_rest
+        self.sh_rest = np.ascontiguousarray(rest, dtype=np.float64)
+        lengths = {len(getattr(self, f.name)) for f in fields(self)}
+        if self.sh_rest.ndim != 2 or len(lengths) > 1:
+            raise DomainError(f"raw gaussian columns must be (N, ...) arrays with one N, "
+                              f"got lengths {sorted(lengths)} and sh_rest {self.sh_rest.shape}")
+
+    def __len__(self) -> int:
+        return len(self.position)
+
+    def take(self, selector) -> "RawGaussians":
+        """Subset by boolean mask, index array or slice, preserving order."""
+        return RawGaussians(
+            position=self.position[selector],
+            log_scale=self.log_scale[selector],
+            rotation=self.rotation[selector],
+            logit_opacity=self.logit_opacity[selector],
+            sh_dc=self.sh_dc[selector],
+            sh_rest=self.sh_rest[selector],
         )
+
+    def drop_invalid(self, source) -> "RawGaussians":
+        """Remove rows activation cannot use, warning with their count.
+
+        A row is valid only if every field read downstream (all but
+        ``sh_rest``) is finite and its quaternion has a non-zero norm.
+        """
+        keep = np.isfinite(self.logit_opacity)
+        for values in (self.position, self.log_scale, self.rotation, self.sh_dc):
+            keep &= np.isfinite(values).all(axis=1)
+        with np.errstate(over="ignore"):
+            keep &= np.linalg.norm(self.rotation, axis=1) > 0.0
+        if keep.all():
+            return self
+        log.warning("%s: dropped %d invalid records (non-finite value or zero quaternion)",
+                    source, int(np.count_nonzero(~keep)))
+        return self.take(keep)
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,31 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for `import reference`
 
 from splatcloud.scene import activate
-from splatcloud.types import CameraPose, RawGaussianRecord
+from splatcloud.types import CameraPose, RawGaussians
 
 
 def random_records(rng, n, *, spread=1.0, log_scale_range=(-2.5, -0.5),
-                   opacity_logit_range=(-1.0, 3.0)) -> list[RawGaussianRecord]:
-    records = []
-    for _ in range(n):
+                   opacity_logit_range=(-1.0, 3.0)) -> RawGaussians:
+    # one row at a time, in the same draw order as ever, so seeded scenes never change
+    columns = {"position": np.empty((n, 3)), "log_scale": np.empty((n, 3)),
+               "rotation": np.empty((n, 4)), "logit_opacity": np.empty(n),
+               "sh_dc": np.empty((n, 3))}
+    for i in range(n):
         quat = rng.standard_normal(4)
-        records.append(RawGaussianRecord(
-            position=rng.uniform(-spread, spread, 3),
-            log_scale=rng.uniform(*log_scale_range, 3),
-            rotation=quat / np.linalg.norm(quat),
-            logit_opacity=float(rng.uniform(*opacity_logit_range)),
-            sh_dc=rng.uniform(-1.5, 1.5, 3),
-        ))
-    return records
+        columns["position"][i] = rng.uniform(-spread, spread, 3)
+        columns["log_scale"][i] = rng.uniform(*log_scale_range, 3)
+        columns["rotation"][i] = quat / np.linalg.norm(quat)
+        columns["logit_opacity"][i] = rng.uniform(*opacity_logit_range)
+        columns["sh_dc"][i] = rng.uniform(-1.5, 1.5, 3)
+    return RawGaussians(**columns)
+
+
+def concat(*parts: RawGaussians) -> RawGaussians:
+    """Rows of every part, in order."""
+    return RawGaussians(**{
+        name: np.concatenate([getattr(part, name) for part in parts])
+        for name in ("position", "log_scale", "rotation", "logit_opacity", "sh_dc", "sh_rest")
+    })
 
 
 def random_scene(rng, n, **kwargs):

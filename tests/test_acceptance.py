@@ -45,9 +45,10 @@ from splatcloud.sampler import (
 )
 from splatcloud.scene import activate
 from splatcloud.surface import export_surface_cloud, remove_statistical_outliers
-from splatcloud.types import PointCloud, RawGaussianRecord
+from splatcloud.types import PointCloud, RawGaussians
 
 from conftest import (
+    concat,
     frontal_pose,
     orbit_pose,
     random_records,
@@ -120,25 +121,24 @@ def test_02_tiled_equals_bruteforce():
 
 def occlusion_fixture(rng):
     """Opaque front wall hiding a rear layer, uniform front colour."""
-    front = []
-    for ix in range(7):
-        for iy in range(7):
-            front.append(RawGaussianRecord(
-                position=np.array([(ix - 3) * 0.4, (iy - 3) * 0.4, 0.0]),
-                log_scale=np.array([-1.1, -1.1, -4.0]),
-                rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-                logit_opacity=6.5,
-                sh_dc=np.array([1.4, 1.0, -0.8]),
-            ))
-    rear = []
+    front = RawGaussians(
+        position=[[(ix - 3) * 0.4, (iy - 3) * 0.4, 0.0] for ix in range(7) for iy in range(7)],
+        log_scale=np.tile([-1.1, -1.1, -4.0], (49, 1)),
+        rotation=np.tile([1.0, 0.0, 0.0, 0.0], (49, 1)),
+        logit_opacity=np.full(49, 6.5),
+        sh_dc=np.tile([1.4, 1.0, -0.8], (49, 1)),
+    )
+    positions, colours = [], []
     for _ in range(6):
-        rear.append(RawGaussianRecord(
-            position=np.concatenate([rng.uniform(-0.6, 0.6, 2), [1.5]]),
-            log_scale=np.array([-1.6, -1.6, -1.6]),
-            rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-            logit_opacity=2.0,
-            sh_dc=rng.uniform(-1.0, 1.0, 3),
-        ))
+        positions.append(np.concatenate([rng.uniform(-0.6, 0.6, 2), [1.5]]))
+        colours.append(rng.uniform(-1.0, 1.0, 3))
+    rear = RawGaussians(
+        position=positions,
+        log_scale=np.tile([-1.6, -1.6, -1.6], (6, 1)),
+        rotation=np.tile([1.0, 0.0, 0.0, 0.0], (6, 1)),
+        logit_opacity=np.full(6, 2.0),
+        sh_dc=colours,
+    )
     return front, rear
 
 
@@ -146,7 +146,7 @@ def test_03_colour_reassignment_under_occlusion():
     with criterion(3, "hidden gaussians adopt the front surface's pixel colour"):
         rng = np.random.default_rng(303)
         front, rear = occlusion_fixture(rng)
-        scene = activate(front + rear)
+        scene = activate(concat(front, rear))
         pose = frontal_pose(width=40, height=40, focal=36.0, distance=5.0)
         state = scene.contribution
         state.reset((0.0, 0.0, 0.0))
@@ -178,10 +178,10 @@ def test_03_colour_reassignment_under_occlusion():
 
 def test_04_sampling_statistics():
     with criterion(4, "acceptance rate matches chi-square; moments match scales"):
-        scene = activate([RawGaussianRecord(
+        scene = activate(RawGaussians(
             position=np.zeros(3), log_scale=np.zeros(3),
             rotation=np.array([1.0, 0, 0, 0]), logit_opacity=0.0, sh_dc=np.zeros(3),
-        )])
+        ))
         batch = build_batches(np.array([1_000_000]), seed=404)[0]
         points, _, _, _ = sample_batch(batch, scene, sigma_threshold=2.0, max_rounds=1)
         rate = len(points) / 1_000_000
@@ -191,10 +191,10 @@ def test_04_sampling_statistics():
         rng = np.random.default_rng(405)
         log_scale = rng.uniform(-1.5, 0.8, 3)
         quat = rng.standard_normal(4)
-        aniso = activate([RawGaussianRecord(
+        aniso = activate(RawGaussians(
             position=np.zeros(3), log_scale=log_scale,
             rotation=quat / np.linalg.norm(quat), logit_opacity=0.0, sh_dc=np.zeros(3),
-        )])
+        ))
         batch = build_batches(np.array([100_000]), seed=406)[0]
         points, _, _, _ = sample_batch(batch, aniso, sigma_threshold=6.0, max_rounds=5)
         eigenvalues = np.sort(np.linalg.eigvalsh(np.cov(points.T)))
@@ -275,10 +275,9 @@ def test_08_format_roundtrips(tmp_path):
         (tmp_path / "scene2.splat").write_bytes(encoded)
         second = load_gaussians_splat(tmp_path / "scene2.splat")
         assert encode_gaussians_splat(second) == encoded
-        for a, b in zip(first, second):
-            assert a.position.tobytes() == b.position.tobytes()
-            assert a.log_scale.tobytes() == b.log_scale.tobytes()
-            assert a.rotation.tobytes() == b.rotation.tobytes()
+        assert first.position.tobytes() == second.position.tobytes()
+        assert first.log_scale.tobytes() == second.log_scale.tobytes()
+        assert first.rotation.tobytes() == second.rotation.tobytes()
 
         # gaussian PLY round trip through the writer helper
         ply_path = tmp_path / "gauss.ply"
@@ -286,9 +285,7 @@ def test_08_format_roundtrips(tmp_path):
         from splatcloud.formats import load_gaussians_ply
         loaded = load_gaussians_ply(ply_path)
         assert len(loaded) == len(records)
-        for original, parsed in zip(records, loaded):
-            np.testing.assert_array_equal(
-                parsed.position, original.position.astype(np.float32))
+        np.testing.assert_array_equal(loaded.position, records.position.astype(np.float32))
 
         # COLMAP: binary and text forms of one model give identical poses
         cameras, images = simple_colmap_model()

@@ -171,6 +171,20 @@ def test_bad_ply_element_count_is_runtime_error(tmp_path, capsys):
     assert "invalid literal" not in err
 
 
+def test_non_finite_gaussians_never_reach_the_output(tmp_path, rng):
+    records = random_records(rng, 50)
+    records.position[5, 0] = np.nan
+    records.logit_opacity[17] = np.nan
+    records.sh_dc[33, 1] = np.nan
+    path = tmp_path / "scene.ply"
+    write_gaussians_ply(records, path)
+    out = tmp_path / "cloud.ply"
+    assert main([str(path), str(out), "--num-points", "1000", "--threads", "1"]) == 0
+    cloud = read_pointcloud_ply(out)
+    assert len(cloud) > 0
+    assert np.isfinite(cloud.points).all()
+
+
 def test_mesh_prep_without_cameras_fails_and_cleans_up(tmp_path, scene_ply):
     out = tmp_path / "cloud.ply"
     code = main([str(scene_ply), str(out), "--num-points", "200",

@@ -46,36 +46,33 @@ def test_ascii_fixture_field_exact(tmp_path):
     # expected values read straight off the fixture text above
     path = tmp_path / "scene.ply"
     path.write_text(ASCII_FIXTURE)
-    records = load_gaussians_ply(path)
-    assert len(records) == 3
+    raw = load_gaussians_ply(path)
+    assert len(raw) == 3
 
-    first = records[0]
-    np.testing.assert_array_equal(first.position, [0, 0, 0])
-    np.testing.assert_array_equal(first.log_scale, [0, 0, 0])
-    np.testing.assert_array_equal(first.rotation, [1, 0, 0, 0])
-    assert first.logit_opacity == 0.5
+    np.testing.assert_array_equal(raw.position[0], [0, 0, 0])
+    np.testing.assert_array_equal(raw.log_scale[0], [0, 0, 0])
+    np.testing.assert_array_equal(raw.rotation[0], [1, 0, 0, 0])
+    assert raw.logit_opacity[0] == 0.5
     #  f_rest columns are gathered in index order regardless of file order
-    np.testing.assert_array_equal(first.sh_rest, [0.125, 0.25])
+    np.testing.assert_array_equal(raw.sh_rest[0], [0.125, 0.25])
 
-    second = records[1]
-    np.testing.assert_array_equal(second.position, [1.5, -2.25, 3])
-    np.testing.assert_array_equal(second.sh_dc, [0.5, -0.5, 1])
-    np.testing.assert_array_equal(second.log_scale, [-0.5, -1, -1.5])
-    np.testing.assert_array_equal(second.rotation, [0.5, 0.5, 0.5, 0.5])
-    assert second.logit_opacity == -1.0
-    np.testing.assert_array_equal(second.sh_rest, [2, 1])
+    np.testing.assert_array_equal(raw.position[1], [1.5, -2.25, 3])
+    np.testing.assert_array_equal(raw.sh_dc[1], [0.5, -0.5, 1])
+    np.testing.assert_array_equal(raw.log_scale[1], [-0.5, -1, -1.5])
+    np.testing.assert_array_equal(raw.rotation[1], [0.5, 0.5, 0.5, 0.5])
+    assert raw.logit_opacity[1] == -1.0
+    np.testing.assert_array_equal(raw.sh_rest[1], [2, 1])
 
-    third = records[2]
-    np.testing.assert_array_equal(third.position, [-4, 5, -6])
-    np.testing.assert_array_equal(third.rotation, [0, 1, 0, 0])
+    np.testing.assert_array_equal(raw.position[2], [-4, 5, -6])
+    np.testing.assert_array_equal(raw.rotation[2], [0, 1, 0, 0])
 
 
 def test_identity_scale_and_rotation(tmp_path):
     path = tmp_path / "identity.ply"
     path.write_text(ASCII_FIXTURE)
-    record = load_gaussians_ply(path)[0]
-    np.testing.assert_array_equal(record.log_scale, (0.0, 0.0, 0.0))
-    np.testing.assert_array_equal(record.rotation, (1.0, 0.0, 0.0, 0.0))
+    raw = load_gaussians_ply(path)
+    np.testing.assert_array_equal(raw.log_scale[0], (0.0, 0.0, 0.0))
+    np.testing.assert_array_equal(raw.rotation[0], (1.0, 0.0, 0.0, 0.0))
 
 
 def test_missing_opacity_property(tmp_path):
@@ -112,10 +109,9 @@ def test_binary_ascii_agree(tmp_path, rng):
     loaded_bin = load_gaussians_ply(bin_path)
     loaded_txt = load_gaussians_ply(txt_path)
     assert len(loaded_bin) == len(loaded_txt) == 16
-    for a, b in zip(loaded_bin, loaded_txt):
-        np.testing.assert_array_equal(a.position, b.position)
-        np.testing.assert_array_equal(a.rotation, b.rotation)
-        assert a.logit_opacity == b.logit_opacity
+    np.testing.assert_array_equal(loaded_bin.position, loaded_txt.position)
+    np.testing.assert_array_equal(loaded_bin.rotation, loaded_txt.rotation)
+    np.testing.assert_array_equal(loaded_bin.logit_opacity, loaded_txt.logit_opacity)
 
 
 def test_roundtrip_preserves_order_and_values(tmp_path, rng):
@@ -125,13 +121,54 @@ def test_roundtrip_preserves_order_and_values(tmp_path, rng):
     write_gaussians_ply(records, path)
     loaded = load_gaussians_ply(path)
     assert len(loaded) == len(records)
-    for original, parsed in zip(records, loaded):
-        np.testing.assert_array_equal(parsed.position,
-                                      original.position.astype(np.float32).astype(np.float64))
-        np.testing.assert_array_equal(parsed.log_scale,
-                                      original.log_scale.astype(np.float32).astype(np.float64))
-        np.testing.assert_array_equal(parsed.rotation,
-                                      original.rotation.astype(np.float32).astype(np.float64))
+    np.testing.assert_array_equal(loaded.position,
+                                  records.position.astype(np.float32).astype(np.float64))
+    np.testing.assert_array_equal(loaded.log_scale,
+                                  records.log_scale.astype(np.float32).astype(np.float64))
+    np.testing.assert_array_equal(loaded.rotation,
+                                  records.rotation.astype(np.float32).astype(np.float64))
+
+
+def test_writer_and_loader_agree_with_reference_parser(tmp_path, rng):
+    # every column, sh_rest included, lands in its named property as float32
+    records = random_records(rng, 40)
+    records.sh_rest = rng.uniform(-1.0, 1.0, (40, 5))
+    path = tmp_path / "scene.ply"
+    write_gaussians_ply(records, path)
+    columns = read_ply_reference(path)
+    loaded = load_gaussians_ply(path)
+    for field, names in [
+        ("position", ["x", "y", "z"]),
+        ("sh_dc", ["f_dc_0", "f_dc_1", "f_dc_2"]),
+        ("sh_rest", [f"f_rest_{i}" for i in range(5)]),
+        ("logit_opacity", ["opacity"]),
+        ("log_scale", ["scale_0", "scale_1", "scale_2"]),
+        ("rotation", ["rot_0", "rot_1", "rot_2", "rot_3"]),
+    ]:
+        parsed = np.array([columns[n] for n in names]).T.reshape(getattr(records, field).shape)
+        np.testing.assert_array_equal(parsed, getattr(records, field).astype(np.float32))
+        np.testing.assert_array_equal(getattr(loaded, field), parsed)
+
+
+def test_non_finite_rows_dropped(tmp_path, rng, caplog):
+    records = random_records(rng, 50)
+    records.position[3, 1] = np.nan
+    records.logit_opacity[10] = np.nan
+    records.sh_dc[20, 2] = np.nan
+    records.rotation[30, 0] = np.inf
+    path = tmp_path / "nonfinite.ply"
+    write_gaussians_ply(records, path)
+    loaded = load_gaussians_ply(path)
+    keep = np.setdiff1d(np.arange(50), [3, 10, 20, 30])
+    assert len(loaded) == 46
+    np.testing.assert_array_equal(loaded.position,
+                                  records.position[keep].astype(np.float32).astype(np.float64))
+    np.testing.assert_array_equal(loaded.logit_opacity,
+                                  records.logit_opacity[keep].astype(np.float32).astype(np.float64))
+    for column in (loaded.position, loaded.log_scale, loaded.rotation,
+                   loaded.logit_opacity, loaded.sh_dc):
+        assert np.isfinite(column).all()
+    assert any("dropped 4 invalid records" in message for message in caplog.messages)
 
 
 def test_zero_norm_quaternion_rejected(tmp_path):
@@ -149,10 +186,19 @@ def test_not_a_ply(tmp_path):
         load_gaussians_ply(path)
 
 
-@pytest.mark.parametrize("line", ["element vertex abc", "element vertex", "element vertex -3"])
-def test_bad_element_count_is_format_error(tmp_path, line):
+@pytest.mark.parametrize("original, line", [
+    pytest.param(original, bad, id=bad) for original, bad in [
+        ("element vertex 3", "element vertex abc"),
+        ("element vertex 3", "element vertex"),
+        ("element vertex 3", "element vertex -3"),
+        ("format ascii 1.0", "format"),
+        ("property float x", "property float"),
+        ("property float x", "property list uchar"),
+    ]
+])
+def test_bad_element_count_is_format_error(tmp_path, original, line):
     path = tmp_path / "scene.ply"
-    path.write_text(ASCII_FIXTURE.replace("element vertex 3", line))
+    path.write_text(ASCII_FIXTURE.replace(original, line))
     with pytest.raises(FileFormatError) as caught:
         load_gaussians_ply(path)
     assert str(path) in str(caught.value) and f"'{line}'" in str(caught.value)

@@ -23,27 +23,30 @@ def test_reference_record(tmp_path):
     path = tmp_path / "one.splat"
     path.write_bytes(pack_record((0, 0, 0), (1, 1, 1), (128, 128, 128, 255),
                                  (255, 128, 128, 128)))
-    (record,) = load_gaussians_splat(path)
-    np.testing.assert_array_equal(record.position, [0, 0, 0])
-    np.testing.assert_array_equal(record.log_scale, [0, 0, 0])
-    np.testing.assert_allclose(record.rotation, [0.9921875, 0, 0, 0], atol=0)
+    raw = load_gaussians_splat(path)
+    assert len(raw) == 1
+    np.testing.assert_array_equal(raw.position[0], [0, 0, 0])
+    np.testing.assert_array_equal(raw.log_scale[0], [0, 0, 0])
+    np.testing.assert_allclose(raw.rotation[0], [0.9921875, 0, 0, 0], atol=0)
     # rgb byte 128 -> inverse of colour = 0.5 + C0 * sh
-    np.testing.assert_allclose(record.sh_dc, [0.006950799415315724] * 3, rtol=1e-12)
+    np.testing.assert_allclose(raw.sh_dc[0], [0.006950799415315724] * 3, rtol=1e-12)
 
 
 def test_alpha_byte_255_clamps(tmp_path):
     path = tmp_path / "alpha.splat"
     path.write_bytes(pack_record((0, 0, 0), (1, 1, 1), (0, 0, 0, 255), (255, 128, 128, 128)))
-    (record,) = load_gaussians_splat(path)
+    raw = load_gaussians_splat(path)
+    assert len(raw) == 1
     expected = math.log((1 - 1 / 512) / (1 / 512))  # logit(1 - 1/512)
-    assert record.logit_opacity == pytest.approx(expected, rel=1e-12)
+    assert raw.logit_opacity[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_alpha_byte_0_clamps(tmp_path):
     path = tmp_path / "alpha0.splat"
     path.write_bytes(pack_record((0, 0, 0), (1, 1, 1), (0, 0, 0, 0), (255, 128, 128, 128)))
-    (record,) = load_gaussians_splat(path)
-    assert record.logit_opacity == pytest.approx(math.log((1 / 512) / (1 - 1 / 512)))
+    raw = load_gaussians_splat(path)
+    assert len(raw) == 1
+    assert raw.logit_opacity[0] == pytest.approx(math.log((1 / 512) / (1 - 1 / 512)))
 
 
 def test_length_not_multiple_of_32(tmp_path):
@@ -58,6 +61,22 @@ def test_non_positive_scale(tmp_path):
     path.write_bytes(pack_record((0, 0, 0), (1, -1, 1), (0, 0, 0, 128), (255, 128, 128, 128)))
     with pytest.raises(FileFormatError, match="non-positive scale"):
         load_gaussians_splat(path)
+
+
+def test_non_finite_records_dropped(tmp_path, caplog):
+    good = (1.0, 1.0, 1.0)
+    path = tmp_path / "nonfinite.splat"
+    path.write_bytes(b"".join([
+        pack_record((0, 0, 0), good, (0, 0, 0, 128), (255, 128, 128, 128)),
+        pack_record((math.nan, 0, 0), good, (0, 0, 0, 128), (255, 128, 128, 128)),
+        pack_record((0, math.inf, 0), good, (0, 0, 0, 128), (255, 128, 128, 128)),
+        pack_record((0, 0, 0), (1.0, math.inf, 1.0), (0, 0, 0, 128), (255, 128, 128, 128)),
+        pack_record((4, 0, 0), good, (0, 0, 0, 128), (255, 128, 128, 128)),
+    ]))
+    raw = load_gaussians_splat(path)
+    assert raw.position[:, 0].tolist() == [0, 4]
+    assert np.isfinite(raw.position).all() and np.isfinite(raw.log_scale).all()
+    assert any("dropped 3 invalid records" in message for message in caplog.messages)
 
 
 def test_decode_encode_decode_fixed_point(tmp_path, rng):
@@ -84,12 +103,11 @@ def test_decode_encode_decode_fixed_point(tmp_path, rng):
     second = load_gaussians_splat(path2)
 
     assert len(first) == len(second)
-    for a, b in zip(first, second):
-        np.testing.assert_array_equal(a.position, b.position)
-        np.testing.assert_array_equal(a.log_scale, b.log_scale)
-        np.testing.assert_array_equal(a.rotation, b.rotation)
-        np.testing.assert_array_equal(a.sh_dc, b.sh_dc)
-        assert a.logit_opacity == b.logit_opacity
+    np.testing.assert_array_equal(first.position, second.position)
+    np.testing.assert_array_equal(first.log_scale, second.log_scale)
+    np.testing.assert_array_equal(first.rotation, second.rotation)
+    np.testing.assert_array_equal(first.sh_dc, second.sh_dc)
+    np.testing.assert_array_equal(first.logit_opacity, second.logit_opacity)
     assert encode_gaussians_splat(second) == encoded
 
 
@@ -111,4 +129,4 @@ def test_order_preserved(tmp_path):
     path = tmp_path / "order.splat"
     path.write_bytes(raw)
     records = load_gaussians_splat(path)
-    assert [r.position[0] for r in records] == [0, 1, 2, 3, 4]
+    assert records.position[:, 0].tolist() == [0, 1, 2, 3, 4]

@@ -25,9 +25,8 @@ from splatcloud.renderer import (
     write_ppm,
 )
 from splatcloud.scene import ContributionState, GaussianScene, activate
-from splatcloud.types import RawGaussianRecord
 
-from conftest import frontal_pose, orbit_pose, random_records, random_scene
+from conftest import concat, frontal_pose, orbit_pose, random_records, random_scene
 
 
 def colour_scene(colours, opacities) -> GaussianScene:
@@ -321,9 +320,8 @@ def test_pair_chunking_is_exact_and_drops_terminated_pixels(rng, monkeypatch):
     front = random_records(rng, 14, spread=0.05, log_scale_range=(-0.6, -0.3),
                            opacity_logit_range=(4.5, 6.0))
     hidden = random_records(rng, 10, spread=0.1, log_scale_range=(-3.0, -2.5))
-    for record in hidden:
-        record.position[2] += 1.5
-    scene = activate(front + hidden)
+    hidden.position[:, 2] += 1.5
+    scene = activate(concat(front, hidden))
     pose = frontal_pose(width=32, height=32, focal=40.0)
 
     runs = []
@@ -458,7 +456,7 @@ def test_image_invariant_under_input_permutation(rng):
     records = random_records(rng, 15, spread=1.0)
     pose = frontal_pose(width=40, height=40, focal=38.0)
     base, _ = render_image(activate(records), pose, RenderConfig(threads=1))
-    shuffled = [records[i] for i in rng.permutation(15)]
+    shuffled = records.take(rng.permutation(15))
     permuted, _ = render_image(activate(shuffled), pose, RenderConfig(threads=1))
     assert base.image.tobytes() == permuted.image.tobytes()
 

@@ -22,19 +22,19 @@ from splatcloud.sampler import (
     sample_batch,
 )
 from splatcloud.scene import activate
-from splatcloud.types import RawGaussianRecord
+from splatcloud.types import RawGaussians
 
 from conftest import random_scene
 
 
 def single_gaussian_scene(log_scale=(0.0, 0.0, 0.0), rotation=(1.0, 0, 0, 0)):
-    return activate([RawGaussianRecord(
+    return activate(RawGaussians(
         position=np.zeros(3),
         log_scale=np.asarray(log_scale, dtype=np.float64),
         rotation=np.asarray(rotation, dtype=np.float64),
         logit_opacity=0.0,
         sh_dc=np.zeros(3),
-    )])
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +228,13 @@ def test_sample_moments_match_scales(rng):
     # loose regime: threshold 6 makes truncation negligible
     log_scale = rng.uniform(-1.5, 0.5, 3)
     quat = rng.standard_normal(4)
-    scene = activate([RawGaussianRecord(
+    scene = activate(RawGaussians(
         position=np.array([3.0, -2.0, 1.0]),
         log_scale=log_scale,
         rotation=quat / np.linalg.norm(quat),
         logit_opacity=1.0,
         sh_dc=np.zeros(3),
-    )])
+    ))
     n = 100_000
     points, _, _, _ = sample_batch(batch_for(scene, n), scene,
                                    sigma_threshold=6.0, max_rounds=5)

@@ -12,12 +12,12 @@ from splatcloud.scene import (
     filter_scene,
     quats_to_rotmats,
 )
-from splatcloud.types import RawGaussianRecord
+from splatcloud.types import RawGaussians
 
-from conftest import random_records, random_scene
+from conftest import concat, random_records, random_scene
 
 
-def make_record(**overrides) -> RawGaussianRecord:
+def make_record(**overrides) -> RawGaussians:
     base = dict(
         position=np.zeros(3),
         log_scale=np.zeros(3),
@@ -26,48 +26,45 @@ def make_record(**overrides) -> RawGaussianRecord:
         sh_dc=np.zeros(3),
     )
     base.update(overrides)
-    return RawGaussianRecord(**base)
+    return RawGaussians(**base)
 
 
 def test_sigmoid_of_zero_logit():
-    scene = activate([make_record(logit_opacity=0.0)])
+    scene = activate(make_record(logit_opacity=0.0))
     assert scene.opacity[0] == 0.5
 
 
 def test_zero_sh_gives_grey():
-    scene = activate([make_record(sh_dc=np.zeros(3))])
+    scene = activate(make_record(sh_dc=np.zeros(3)))
     np.testing.assert_array_equal(scene.base_colour[0], [0.5, 0.5, 0.5])
 
 
 def test_colour_clamped():
     # 0.5 + 0.28209479 * (+-1.7725) = 1.000013 / -0.000013 before clamping
-    scene = activate([make_record(sh_dc=np.array([1.7725, 0.0, -1.7725]))])
+    scene = activate(make_record(sh_dc=np.array([1.7725, 0.0, -1.7725])))
     np.testing.assert_allclose(scene.base_colour[0], [1.0, 0.5, 0.0], atol=0)
 
 
 def test_quaternion_normalised():
-    scene = activate([make_record(rotation=np.array([2.0, 0.0, 0.0, 0.0]))])
+    scene = activate(make_record(rotation=np.array([2.0, 0.0, 0.0, 0.0])))
     np.testing.assert_allclose(scene.rotation_unit[0], [1, 0, 0, 0], atol=0)
 
 
 def test_activate_empty_is_error():
     with pytest.raises(DomainError):
-        activate([])
+        activate(make_record().take(slice(0, 0)))
 
 
 def test_activate_idempotent_normalisation(rng):
     records = random_records(rng, 30)
     scene = activate(records)
-    again = activate([
-        RawGaussianRecord(
-            position=scene.position[i],
-            log_scale=scene.log_scale[i],
-            rotation=scene.rotation_unit[i],
-            logit_opacity=records[i].logit_opacity,
-            sh_dc=records[i].sh_dc,
-        )
-        for i in range(scene.count)
-    ])
+    again = activate(RawGaussians(
+        position=scene.position,
+        log_scale=scene.log_scale,
+        rotation=scene.rotation_unit,
+        logit_opacity=records.logit_opacity,
+        sh_dc=records.sh_dc,
+    ))
     assert np.abs(again.rotation_unit - scene.rotation_unit).max() < 1e-12
     assert np.abs(again.covariance - scene.covariance).max() < 1e-12
 
@@ -124,8 +121,8 @@ def test_scene_cholesky_matches_covariance(rng):
 
 def test_activate_drops_degenerate(rng):
     records = random_records(rng, 5)
-    records.insert(2, make_record(log_scale=np.array([400.0, 400.0, 400.0])))
-    scene = activate(records)
+    degenerate = make_record(log_scale=np.array([400.0, 400.0, 400.0]))
+    scene = activate(concat(records.take(slice(0, 2)), degenerate, records.take(slice(2, None))))
     assert scene.count == 5
 
 
@@ -143,15 +140,15 @@ def test_quats_to_rotmats_orthonormal(rng):
 
 
 def test_bbox_removes_outside():
-    scene = activate([make_record(position=np.array([10.0, 0.0, 0.0])),
-                      make_record(position=np.zeros(3))])
+    scene = activate(concat(make_record(position=np.array([10.0, 0.0, 0.0])),
+                            make_record(position=np.zeros(3))))
     filtered = filter_scene(scene, FilterConfig(bbox_min=(-5, -5, -5), bbox_max=(5, 5, 5)))
     assert filtered.count == 1
     np.testing.assert_array_equal(filtered.position[0], [0, 0, 0])
 
 
 def test_min_opacity_keeps_at_threshold():
-    scene = activate([make_record(logit_opacity=0.0)])  # opacity 0.5
+    scene = activate(make_record(logit_opacity=0.0))  # opacity 0.5
     assert filter_scene(scene, FilterConfig(min_opacity=0.3)).count == 1
     assert filter_scene(scene, FilterConfig(min_opacity=0.5)).count == 1
 
@@ -189,7 +186,7 @@ def test_filter_composition_order_irrelevant(rng):
 
 
 def test_filter_everything_is_error():
-    scene = activate([make_record(position=np.array([10.0, 0.0, 0.0]))])
+    scene = activate(make_record(position=np.array([10.0, 0.0, 0.0])))
     with pytest.raises(DomainError, match="empty scene after filtering"):
         filter_scene(scene, FilterConfig(bbox_min=(-1, -1, -1), bbox_max=(1, 1, 1)))
 

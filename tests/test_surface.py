@@ -15,9 +15,9 @@ from splatcloud.surface import (
     select_surface,
     surface_normals,
 )
-from splatcloud.types import PointCloud, RawGaussianRecord
+from splatcloud.types import PointCloud, RawGaussians
 
-from conftest import frontal_pose, random_scene
+from conftest import concat, frontal_pose, random_scene
 
 
 def rendered_scene(rng, n=4):
@@ -74,13 +74,13 @@ def test_select_never_empty_when_any_positive(rng):
 
 
 def scene_with(log_scale, rotation, camera_centre=(0.0, 0.0, -5.0)):
-    scene = activate([RawGaussianRecord(
+    scene = activate(RawGaussians(
         position=np.zeros(3),
         log_scale=np.asarray(log_scale, dtype=np.float64),
         rotation=np.asarray(rotation, dtype=np.float64),
         logit_opacity=2.0,
         sh_dc=np.zeros(3),
-    )])
+    ))
     scene.contribution.rendered = True
     scene.contribution.best_contribution[:] = 1.0
     scene.contribution.best_camera_centre[:] = camera_centre
@@ -167,6 +167,18 @@ def test_survivor_order_preserved(rng):
     np.testing.assert_array_equal(cleaned.colours, cloud.colours[keep])
 
 
+def test_same_survivors_at_any_worker_count(rng):
+    points = rng.standard_normal((3000, 3)).astype(np.float32)
+    points[::101] *= 5.0
+    colours = rng.integers(0, 256, (3000, 3), dtype=np.uint8)
+    cloud = PointCloud(points=points, colours=colours)
+    one = remove_statistical_outliers(cloud, 20, 2.0, workers=1)
+    two = remove_statistical_outliers(cloud, 20, 2.0, workers=2)
+    assert len(one) < len(cloud)
+    assert one.points.tobytes() == two.points.tobytes()
+    assert one.colours.tobytes() == two.colours.tobytes()
+
+
 def fibonacci_sphere(n):
     """Near-uniform sphere covering; keeps neighbour spacing tight."""
     k = np.arange(n, dtype=np.float64)
@@ -199,22 +211,22 @@ def test_too_few_points_error(rng):
 
 def wall_records(rng, nx=6, ny=6, jitter_deg=1.5):
     """Thin gaussians tiling the z=0 plane, normals nominally +-e_z."""
-    records = []
+    positions, quats = [], []
     for ix in range(nx):
         for iy in range(ny):
             axis = rng.standard_normal(3)
             axis /= np.linalg.norm(axis)
             angle = np.deg2rad(jitter_deg) * rng.uniform(-1, 1)
-            quat = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
-            records.append(RawGaussianRecord(
-                position=np.array([(ix - nx / 2 + 0.5) * 0.4,
-                                   (iy - ny / 2 + 0.5) * 0.4, 0.0]),
-                log_scale=np.array([-1.2, -1.2, -4.0]),
-                rotation=quat,
-                logit_opacity=3.0,
-                sh_dc=np.array([1.0, 0.8, -0.5]),
-            ))
-    return records
+            quats.append(np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis]))
+            positions.append([(ix - nx / 2 + 0.5) * 0.4, (iy - ny / 2 + 0.5) * 0.4, 0.0])
+    n = len(positions)
+    return RawGaussians(
+        position=np.array(positions),
+        log_scale=np.tile([-1.2, -1.2, -4.0], (n, 1)),
+        rotation=np.array(quats),
+        logit_opacity=np.full(n, 3.0),
+        sh_dc=np.tile([1.0, 0.8, -0.5], (n, 1)),
+    )
 
 
 def test_planar_wall_normals(rng):
@@ -235,9 +247,8 @@ def test_occluded_layer_absent(rng):
     # opaque front wall at z=0; hidden rear layer at z=2 (camera at z=-5)
     front = wall_records(rng, nx=4, ny=4, jitter_deg=0.5)
     rear = wall_records(rng, nx=2, ny=2, jitter_deg=0.5)
-    for record in rear:
-        record.position[2] = 2.0
-    scene = activate(front + rear)
+    rear.position[:, 2] = 2.0
+    scene = activate(concat(front, rear))
     pose = frontal_pose(width=48, height=48, focal=40.0, distance=5.0)
     render_all(scene, [pose], RenderConfig(threads=1))
 
