@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Every flag also works as a ``key=value`` line in a config file passed via
-``--config``; explicit command-line values override the file. Exit codes:
-0 success, 1 runtime failure, 2 usage error.
+The flags, their config-file keys and their parsers come from the option
+fields of :class:`~splatcloud.config.PipelineConfig` and
+:class:`~splatcloud.config.FilterConfig`. Every flag also works as a
+``key=value`` line in a config file passed via ``--config``; explicit
+command-line values override the file. Exit codes: 0 success, 1 runtime
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,29 +14,14 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .config import (
-    DEFAULT_NUM_POINTS,
-    DEFAULT_SURFACE_POINTS,
-    DEFAULT_TILE_BUDGET,
-    FilterConfig,
-    PipelineConfig,
-)
-from .errors import PipelineError, SplatCloudError, UsageError
+from .config import FilterConfig, PipelineConfig, option_flag, option_key, parse_bool
+from .errors import SplatCloudError, UsageError
 from .pipeline import run
 
 log = logging.getLogger(__name__)
-
-
-def _parse_background(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("background must be R,G,B with values 0-255")
-    values = [int(p) for p in parts]
-    if not all(0 <= v <= 255 for v in values):
-        raise argparse.ArgumentTypeError("background channels must be within 0-255")
-    return tuple(v / 255.0 for v in values)
 
 
 def _parse_bbox(text: str):
@@ -44,66 +32,12 @@ def _parse_bbox(text: str):
     return tuple(parts)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got '{text}'")
+# Options that are not config fields: config-file key -> parser.
+_COMMAND_OPTIONS = {"bbox": _parse_bbox, "stats_json": parse_bool, "verbose": parse_bool}
 
 
-_DEFAULTS = {
-    "input": None,
-    "output": None,
-    "cameras": None,
-    "num_points": DEFAULT_NUM_POINTS,
-    "sigma": 2.0,
-    "exact": False,
-    "max_resample_rounds": 5,
-    "seed": 0,
-    "render_scale": 1.0,
-    "skip_cameras": 0,
-    "tile_budget": DEFAULT_TILE_BUDGET,
-    "background": (0.0, 0.0, 0.0),
-    "save_renders": None,
-    "bbox": None,
-    "max_scale": None,
-    "min_opacity": None,
-    "mesh_prep": False,
-    "surface_points": DEFAULT_SURFACE_POINTS,
-    "sor_k": 20,
-    "sor_std": 2.0,
-    "threads": 0,
-    "stats_json": False,
-    "verbose": False,
-}
-
-_CONVERTERS = {
-    "input": str,
-    "output": str,
-    "cameras": str,
-    "num_points": int,
-    "sigma": float,
-    "exact": _parse_bool,
-    "max_resample_rounds": int,
-    "seed": int,
-    "render_scale": float,
-    "skip_cameras": int,
-    "tile_budget": int,
-    "background": _parse_background,
-    "save_renders": str,
-    "bbox": _parse_bbox,
-    "max_scale": float,
-    "min_opacity": float,
-    "mesh_prep": _parse_bool,
-    "surface_points": int,
-    "sor_k": int,
-    "sor_std": float,
-    "threads": int,
-    "stats_json": _parse_bool,
-    "verbose": _parse_bool,
-}
+def _option_fields():
+    return [f for cls in (PipelineConfig, FilterConfig) for f in fields(cls) if f.metadata]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,45 +47,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "point cloud (and optionally a meshing-ready surface cloud).",
         argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("input", nargs="?", help="gaussian scene (.ply or .splat)")
-    parser.add_argument("output", nargs="?", help="output point cloud .ply")
-    parser.add_argument("--cameras", metavar="PATH",
-                        help="camera poses: COLMAP model dir or NeRF transforms .json")
-    parser.add_argument("--num-points", type=int, metavar="N",
-                        help=f"total points to sample (default {DEFAULT_NUM_POINTS})")
-    parser.add_argument("--sigma", type=float, metavar="S",
-                        help="Mahalanobis rejection threshold (default 2.0)")
-    parser.add_argument("--exact", action="store_true",
-                        help="disable 5-point binning for exact per-gaussian counts")
-    parser.add_argument("--max-resample-rounds", type=int, metavar="N",
-                        help="draw attempts per point slot (default 5)")
-    parser.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    parser.add_argument("--render-scale", type=float, metavar="F",
-                        help="resolution multiplier in (0, 1] for the colour pass")
-    parser.add_argument("--skip-cameras", type=int, metavar="K",
-                        help="skip every K-th camera (0 or 1 = keep all)")
-    parser.add_argument("--tile-budget", type=int, metavar="N",
-                        help=f"max gaussian-pixel overlaps per tile (default {DEFAULT_TILE_BUDGET})")
-    parser.add_argument("--background", type=_parse_background, metavar="R,G,B",
-                        help="background colour 0-255 per channel (default 0,0,0)")
-    parser.add_argument("--save-renders", metavar="DIR",
-                        help="dump rendered images as PPM files into DIR")
+    for f in _option_fields():
+        meta = f.metadata
+        help_text = meta["help"].format(default=f.default)
+        if f.default is MISSING:
+            parser.add_argument(f.name, nargs="?", default=None, type=meta["parse"],
+                                metavar=option_key(f), help=help_text)
+        elif isinstance(f.default, bool):
+            parser.add_argument(option_flag(option_key(f)), dest=f.name, action="store_true",
+                                help=help_text)
+        else:
+            parser.add_argument(option_flag(option_key(f)), dest=f.name, type=meta["parse"],
+                                metavar=meta["metavar"], help=help_text)
     parser.add_argument("--bbox", type=_parse_bbox, metavar="X0,Y0,Z0,X1,Y1,Z1",
                         help="keep only gaussians inside this box")
-    parser.add_argument("--max-scale", type=float, metavar="S",
-                        help="drop gaussians whose largest linear scale exceeds S")
-    parser.add_argument("--min-opacity", type=float, metavar="O",
-                        help="drop gaussians with opacity below O")
-    parser.add_argument("--mesh-prep", action="store_true",
-                        help="also export an oriented surface cloud (_surface.ply)")
-    parser.add_argument("--surface-points", type=int, metavar="N",
-                        help=f"surface cloud point budget (default {DEFAULT_SURFACE_POINTS})")
-    parser.add_argument("--sor-k", type=int, metavar="K",
-                        help="neighbours for statistical outlier removal (default 20)")
-    parser.add_argument("--sor-std", type=float, metavar="R",
-                        help="outlier removal std-ratio (default 2.0)")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads, 0 = auto (results are thread-count independent)")
     parser.add_argument("--config", metavar="PATH",
                         help="key=value file providing defaults for any flag")
     parser.add_argument("--stats-json", action="store_true",
@@ -161,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config_file(path: Path) -> dict:
-    """Parse a key=value config file into converted option values."""
+    """Parse a key=value config file into option values keyed by field name."""
+    parsers = {option_key(f): (f.name, f.metadata["parse"]) for f in _option_fields()}
+    parsers.update((key, (key, parse)) for key, parse in _COMMAND_OPTIONS.items())
     values = {}
     try:
         text = Path(path).read_text()
@@ -177,58 +88,38 @@ def load_config_file(path: Path) -> dict:
         key = key.strip().replace("-", "_")
         if key == "config":
             raise UsageError(f"{path}:{lineno}: config files cannot nest")
-        if key not in _CONVERTERS:
+        if key not in parsers:
             raise UsageError(f"{path}:{lineno}: unknown option '{key}'")
+        name, parse = parsers[key]
         try:
-            values[key] = _CONVERTERS[key](value.strip())
+            values[name] = parse(value.strip())
         except (ValueError, argparse.ArgumentTypeError) as err:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {err}") from err
+            raise UsageError(
+                f"{path}:{lineno}: bad value for {option_flag(key)}: {err}") from err
     return values
 
 
 def _merged_options(argv) -> dict:
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
-    cli_values = vars(namespace)
+    namespace = build_parser().parse_args(argv)
+    # Only the flags given are set; an absent positional is None.
+    cli_values = {k: v for k, v in vars(namespace).items() if v is not None}
     file_values = {}
     if "config" in cli_values:
         file_values = load_config_file(Path(cli_values.pop("config")))
-    return {**_DEFAULTS, **file_values, **cli_values}
+    return {**file_values, **cli_values}
 
 
 def config_from_options(options: dict) -> PipelineConfig:
-    if options["input"] is None:
-        raise UsageError("missing input gaussian scene path")
-    if options["output"] is None:
-        raise UsageError("missing output .ply path")
-    bbox = options["bbox"]
-    filters = FilterConfig(
-        bbox_min=None if bbox is None else tuple(bbox[:3]),
-        bbox_max=None if bbox is None else tuple(bbox[3:]),
-        max_scale=options["max_scale"],
-        min_opacity=options["min_opacity"],
-    )
-    config = PipelineConfig(
-        input_gaussians=Path(options["input"]),
-        output=Path(options["output"]),
-        input_cameras=None if options["cameras"] is None else Path(options["cameras"]),
-        num_points=options["num_points"],
-        sigma=options["sigma"],
-        exact=options["exact"],
-        max_resample_rounds=options["max_resample_rounds"],
-        seed=options["seed"],
-        render_scale=options["render_scale"],
-        skip_cameras=options["skip_cameras"],
-        tile_budget=options["tile_budget"],
-        background=options["background"],
-        save_renders=None if options["save_renders"] is None else Path(options["save_renders"]),
-        filters=filters,
-        mesh_prep=options["mesh_prep"],
-        surface_points=options["surface_points"],
-        sor_k=options["sor_k"],
-        sor_std=options["sor_std"],
-        threads=options["threads"],
-    )
+    """Build and validate the config from option values keyed by field name."""
+    options = dict(options)
+    for f in _option_fields():
+        if f.default is MISSING and f.name not in options:
+            raise UsageError(f"missing {option_key(f)}: {f.metadata['help']}")
+    filters = {f.name: options.pop(f.name) for f in fields(FilterConfig) if f.name in options}
+    bbox = options.pop("bbox", None)
+    if bbox is not None:
+        filters.update(bbox_min=bbox[:3], bbox_max=bbox[3:])
+    config = PipelineConfig(**options, filters=FilterConfig(**filters))
     config.validate()
     return config
 
@@ -236,32 +127,26 @@ def config_from_options(options: dict) -> PipelineConfig:
 def main(argv=None) -> int:
     try:
         options = _merged_options(argv)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-    logging.basicConfig(
-        level=logging.DEBUG if options["verbose"] else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-
-    try:
+        stats_json = options.pop("stats_json", False)
+        verbose = options.pop("verbose", False)
         config = config_from_options(options)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
+    logging.basicConfig(
+        level=logging.DEBUG if verbose else logging.INFO,
+        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr,
+    )
+
     try:
         stats = run(config)
-    except UsageError as err:
+    except SplatCloudError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (PipelineError, SplatCloudError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, UsageError) else 1
 
-    if options["stats_json"]:
+    if stats_json:
         print(json.dumps(stats.as_dict(), indent=2))
     return 0
 

@@ -162,7 +162,10 @@ def _read_vertex_table(path: Path):
             raise FileFormatError(
                 f"{path}: vertex line {i} has {len(tokens)} values, expected {nprops}"
             )
-        columns[i] = [float(t) for t in tokens]
+        try:
+            columns[i] = [float(t) for t in tokens]
+        except ValueError as err:
+            raise FileFormatError(f"{path}: vertex line {i}: {err}") from err
     return vertex, {n: columns[:, j] for j, (n, _) in enumerate(vertex.properties)}
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import FileFormatError
+from ..errors import DomainError, FileFormatError
 from ..scene import SH_C0
 from ..types import RawGaussians
 
@@ -69,7 +69,12 @@ def encode_gaussians_splat(raw: RawGaussians) -> bytes:
 
     Decode -> encode -> decode is a fixed point: the first decode already
     lands on the u8-quantised grid, so re-encoding reproduces the bytes.
+    Raises :class:`DomainError` if any row fails :meth:`RawGaussians.valid_rows`.
     """
+    invalid = int(np.count_nonzero(~raw.valid_rows()))
+    if invalid:
+        raise DomainError(f"cannot encode {invalid} invalid gaussians as .splat "
+                          f"(non-finite value or zero quaternion)")
     table = np.empty(len(raw), dtype=_RECORD_DTYPE)
     table["position"] = raw.position.astype(np.float32)
     table["scale"] = np.exp(raw.log_scale).astype(np.float32)

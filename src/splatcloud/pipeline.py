@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import formats
 from .config import PipelineConfig
-from .errors import PipelineError, SplatCloudError, UsageError
+from .errors import PipelineError, UsageError
 from .renderer import RenderStats, render_all
 from .sampler import SampleStats, generate_pointcloud
 from .scene import activate, cull_unrendered, filter_scene
@@ -38,34 +38,7 @@ class PipelineStats:
     timings_seconds: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        render = None
-        if self.render is not None:
-            render = {
-                "images": self.render.images_rendered,
-                "tiles": self.render.tiles,
-                "tiles_subdivided": self.render.tiles_subdivided,
-                "max_tile_product": self.render.max_tile_product,
-                "singular_skips": self.render.singular_skips,
-                "pairs_evaluated": self.render.pairs_evaluated,
-                "pixels_terminated": self.render.pixels_terminated,
-            }
-        points = None
-        if self.points is not None:
-            points = {
-                "requested": self.points.requested,
-                "allocated": self.points.allocated,
-                "emitted": self.points.emitted,
-                "rejected_draws": self.points.rejected,
-            }
-        surface = None
-        if self.surface_points is not None:
-            surface = {
-                "requested": self.surface_points.requested,
-                "allocated": self.surface_points.allocated,
-                "emitted": self.surface_points.emitted,
-                "rejected_draws": self.surface_points.rejected,
-                "after_cleanup": self.surface_points_after_cleanup,
-            }
+        """The ``--stats-json`` report: these fields with the stage counts nested."""
         return {
             "gaussians": {
                 "loaded": self.gaussians_loaded,
@@ -73,13 +46,26 @@ class PipelineStats:
                 "after_cull": self.gaussians_after_cull,
             },
             "cameras": self.cameras,
-            "render": render,
-            "points": points,
-            "surface": surface,
+            "render": _stage_report(self.render),
+            "points": _stage_report(self.points),
+            "surface": _stage_report(
+                self.surface_points, after_cleanup=self.surface_points_after_cleanup),
             "output": self.output,
             "surface_output": self.surface_output,
             "timings_seconds": self.timings_seconds,
         }
+
+
+# How RenderStats/SampleStats fields appear in the report, and which stay out of it.
+_REPORT_NAMES = {"images_rendered": "images", "rejected": "rejected_draws"}
+_NOT_REPORTED = {"gaussians_projected", "gaussians_excluded", "seconds"}
+
+
+def _stage_report(stats, **extra) -> dict | None:
+    if stats is None:
+        return None
+    return {_REPORT_NAMES.get(k, k): v for k, v in asdict(stats).items()
+            if k not in _NOT_REPORTED} | extra
 
 
 def detect_format(path) -> str:
@@ -163,6 +149,7 @@ def run(config: PipelineConfig) -> PipelineStats:
             log.info("loaded %d camera poses from %s", len(poses), config.input_cameras)
 
         scene = clock.run("activate", lambda: activate(raw, config.background))
+        del raw  # the scene keeps what it needs; free the other columns before sampling
 
         if config.filters.any_enabled():
             scene = clock.run("filter", lambda s=scene: filter_scene(s, config.filters))
@@ -171,7 +158,7 @@ def run(config: PipelineConfig) -> PipelineStats:
 
         if poses:
             stats.render = clock.run(
-                "render", lambda s=scene: render_all(s, poses, config.render_config()))
+                "render", lambda s=scene: render_all(s, poses, config))
             log.info("rendered %d images in %.2fs", stats.render.images_rendered,
                      stats.render.seconds)
             scene = clock.run("cull", lambda s=scene: cull_unrendered(s))
@@ -184,7 +171,7 @@ def run(config: PipelineConfig) -> PipelineStats:
         stats.gaussians_after_cull = scene.count
 
         def sample(s=scene):
-            return generate_pointcloud(s, config.num_points, config.sampler_config())
+            return generate_pointcloud(s, config.num_points, config)
         cloud, stats.points = clock.run("sample", sample)
 
         output = Path(config.output)
@@ -199,7 +186,7 @@ def run(config: PipelineConfig) -> PipelineStats:
             if not poses:
                 raise UsageError("--mesh-prep requires camera poses (--cameras)")
             def surface(s=scene):
-                return export_surface_cloud(s, config.sampler_config(), config.surface_config())
+                return export_surface_cloud(s, config, config)
             surface_cloud, stats.surface_points = clock.run("surface", surface)
             stats.surface_points_after_cleanup = len(surface_cloud)
             spath = surface_output_path(output)
@@ -217,8 +204,6 @@ def run(config: PipelineConfig) -> PipelineStats:
                 pass
         if isinstance(err, UsageError):
             raise
-        if isinstance(err, SplatCloudError):
-            raise PipelineError(clock.current, err) from err
         raise PipelineError(clock.current, err) from err
 
     stats.timings_seconds = dict(clock.timings)

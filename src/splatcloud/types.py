@@ -56,8 +56,8 @@ class RawGaussians:
             sh_rest=self.sh_rest[selector],
         )
 
-    def drop_invalid(self, source) -> "RawGaussians":
-        """Remove rows activation cannot use, warning with their count.
+    def valid_rows(self) -> np.ndarray:
+        """Boolean mask of the rows activation can use.
 
         A row is valid only if every field read downstream (all but
         ``sh_rest``) is finite and its quaternion has a non-zero norm.
@@ -67,6 +67,11 @@ class RawGaussians:
             keep &= np.isfinite(values).all(axis=1)
         with np.errstate(over="ignore"):
             keep &= np.linalg.norm(self.rotation, axis=1) > 0.0
+        return keep
+
+    def drop_invalid(self, source) -> "RawGaussians":
+        """Remove the rows :meth:`valid_rows` rejects, warning with their count."""
+        keep = self.valid_rows()
         if keep.all():
             return self
         log.warning("%s: dropped %d invalid records (non-finite value or zero quaternion)",

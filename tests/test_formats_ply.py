@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference import read_ply_reference
+from splatcloud.cli import main
 from splatcloud.errors import FileFormatError, TruncatedFileError
 from splatcloud.formats import (
     load_gaussians_ply,
@@ -202,6 +203,25 @@ def test_bad_element_count_is_format_error(tmp_path, original, line):
     with pytest.raises(FileFormatError) as caught:
         load_gaussians_ply(path)
     assert str(path) in str(caught.value) and f"'{line}'" in str(caught.value)
+
+
+def test_non_numeric_ascii_value_is_format_error(tmp_path):
+    path = tmp_path / "scene.ply"
+    path.write_text(ASCII_FIXTURE.replace("1.5 -2.25 3", "1.5 abc 3"))
+    with pytest.raises(FileFormatError) as caught:
+        load_gaussians_ply(path)
+    assert str(path) in str(caught.value) and "vertex line 1" in str(caught.value)
+    assert "'abc'" in str(caught.value)
+
+
+def test_non_numeric_ascii_value_is_cli_runtime_error(tmp_path, capsys):
+    path = tmp_path / "scene.ply"
+    path.write_text(ASCII_FIXTURE.replace("1.5 -2.25 3", "1.5 abc 3"))
+    out = tmp_path / "cloud.ply"
+    assert main([str(path), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "load-gaussians" in err and str(path) in err and "vertex line 1" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

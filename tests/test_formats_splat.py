@@ -6,12 +6,14 @@ import struct
 import numpy as np
 import pytest
 
-from splatcloud.errors import FileFormatError
+from splatcloud.errors import DomainError, FileFormatError
 from splatcloud.formats import (
     encode_gaussians_splat,
     load_gaussians_splat,
     write_gaussians_splat,
 )
+
+from conftest import random_records
 
 
 def pack_record(position, scale, rgba, quat_bytes):
@@ -130,3 +132,15 @@ def test_order_preserved(tmp_path):
     path.write_bytes(raw)
     records = load_gaussians_splat(path)
     assert records.position[:, 0].tolist() == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("column, index", [
+    ("position", (1, 0)), ("log_scale", (2, 2)), ("rotation", (3, 1)),
+    ("logit_opacity", 4), ("sh_dc", (5, 0)),
+])
+def test_encode_rejects_non_finite_rows(rng, column, index):
+    raw = random_records(rng, 8)
+    getattr(raw, column)[index] = np.nan
+    raw.rotation[6] = 0.0
+    with pytest.raises(DomainError, match="cannot encode 2 invalid gaussians"):
+        encode_gaussians_splat(raw)
