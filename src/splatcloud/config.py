@@ -76,6 +76,10 @@ def _above(low):
     return (lambda v: v > low), f"must be > {low}"
 
 
+def _within(low, high):
+    return (lambda v: low <= v <= high), f"must be within {low}..{high}"
+
+
 def _threads():
     # RenderConfig and SamplerConfig each need it; PipelineConfig inherits one field.
     return option(0, "worker threads, 0 = auto (results are thread-count independent)", "N",
@@ -89,9 +93,10 @@ class FilterConfig:
     bbox_min: tuple[float, float, float] | None = None
     bbox_max: tuple[float, float, float] | None = None
     max_scale: float | None = option(
-        None, "drop gaussians whose largest linear scale exceeds S", "S", parse=float)
+        None, "drop gaussians whose largest linear scale exceeds S", "S", parse=float,
+        check=_above(0))
     min_opacity: float | None = option(
-        None, "drop gaussians with opacity below O", "O", parse=float)
+        None, "drop gaussians with opacity below O", "O", parse=float, check=_within(0, 1))
 
     def any_enabled(self) -> bool:
         return any(
@@ -159,8 +164,12 @@ class PipelineConfig(SurfaceConfig, RenderConfig, SamplerConfig):
 
     def validate(self):
         """Raise :class:`UsageError` naming the flag of the first option out of range."""
-        for f in fields(self):
-            check = f.metadata.get("check")
-            value = getattr(self, f.name)
-            if check is not None and not check[0](value):
-                raise UsageError(f"{option_flag(option_key(f))} {check[1]}, got {value}")
+        for config in (self, self.filters):
+            for f in fields(config):
+                check = f.metadata.get("check")
+                value = getattr(config, f.name)
+                off = value is None and f.default is None  # e.g. a filter left off
+                if check is not None and not off and not check[0](value):
+                    raise UsageError(f"{option_flag(option_key(f))} {check[1]}, got {value}")
+        if self.mesh_prep and self.input_cameras is None:
+            raise UsageError("--mesh-prep requires camera poses (--cameras)")

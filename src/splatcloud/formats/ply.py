@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import FileFormatError, TruncatedFileError
 from ..types import PointCloud, RawGaussians
+from .atomic import atomic_write
 
 # PLY scalar type -> (numpy little-endian dtype, size in bytes)
 _SCALAR_TYPES = {
@@ -211,7 +212,6 @@ def write_pointcloud_ply(cloud: PointCloud, path) -> None:
     cloud carries normals, nx,ny,nz (float32) after blue. Re-parsing the
     file reproduces positions bit-exactly and colours exactly.
     """
-    path = Path(path)
     fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
               ("red", "u1"), ("green", "u1"), ("blue", "u1")]
     header = [
@@ -239,7 +239,7 @@ def write_pointcloud_ply(cloud: PointCloud, path) -> None:
         for j, axis in enumerate(("nx", "ny", "nz")):
             table[axis] = cloud.normals[:, j]
 
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(table.tobytes())
 
@@ -276,7 +276,6 @@ def read_pointcloud_ply(path) -> PointCloud:
 
 def write_gaussians_ply(raw: RawGaussians, path, binary: bool = True) -> None:
     """Write raw Gaussians back out in the 3DGS PLY layout (round-trip helper)."""
-    path = Path(path)
     n_rest = raw.sh_rest.shape[1]
     names = list(_REQUIRED_PROPERTIES[:6]) + [f"f_rest_{i}" for i in range(n_rest)] + \
         list(_REQUIRED_PROPERTIES[6:])
@@ -289,7 +288,7 @@ def write_gaussians_ply(raw: RawGaussians, path, binary: bool = True) -> None:
         raw.position, raw.sh_dc, raw.sh_rest,
         raw.logit_opacity[:, None], raw.log_scale, raw.rotation,
     ], axis=1).astype(np.float32)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         if binary:
             fh.write(rows.tobytes())

@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import DomainError, FileFormatError
 from ..scene import SH_C0
 from ..types import RawGaussians
+from .atomic import atomic_write
 
 RECORD_SIZE = 32
 
@@ -88,4 +89,5 @@ def encode_gaussians_splat(raw: RawGaussians) -> bytes:
 
 
 def write_gaussians_splat(raw: RawGaussians, path) -> None:
-    Path(path).write_bytes(encode_gaussians_splat(raw))
+    with atomic_write(path) as fh:
+        fh.write(encode_gaussians_splat(raw))

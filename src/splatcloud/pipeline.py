@@ -56,16 +56,14 @@ class PipelineStats:
         }
 
 
-# How RenderStats/SampleStats fields appear in the report, and which stay out of it.
+# How RenderStats/SampleStats fields are named in the report.
 _REPORT_NAMES = {"images_rendered": "images", "rejected": "rejected_draws"}
-_NOT_REPORTED = {"gaussians_projected", "gaussians_excluded", "seconds"}
 
 
 def _stage_report(stats, **extra) -> dict | None:
     if stats is None:
         return None
-    return {_REPORT_NAMES.get(k, k): v for k, v in asdict(stats).items()
-            if k not in _NOT_REPORTED} | extra
+    return {_REPORT_NAMES.get(k, k): v for k, v in asdict(stats).items()} | extra
 
 
 def detect_format(path) -> str:
@@ -129,12 +127,13 @@ def surface_output_path(output: Path) -> Path:
 def run(config: PipelineConfig) -> PipelineStats:
     """Execute the full conversion; raises PipelineError with the failing stage.
 
-    Partially written output files are removed on failure.
+    Each output file appears only once it is complete, so a failure leaves
+    no partial file behind; a failure in the surface stage keeps the main
+    cloud already written.
     """
     config.validate()
     stats = PipelineStats()
     clock = _StageClock()
-    created: list[Path] = []
     total_start = time.perf_counter()
 
     try:
@@ -147,8 +146,11 @@ def run(config: PipelineConfig) -> PipelineStats:
             poses = clock.run("load-cameras", lambda: _load_cameras(Path(config.input_cameras)))
             stats.cameras = len(poses)
             log.info("loaded %d camera poses from %s", len(poses), config.input_cameras)
+            if config.mesh_prep and not poses:
+                raise UsageError(f"--mesh-prep requires camera poses; "
+                                 f"{config.input_cameras} holds none")
 
-        scene = clock.run("activate", lambda: activate(raw, config.background))
+        scene = clock.run("activate", lambda: activate(raw))
         del raw  # the scene keeps what it needs; free the other columns before sampling
 
         if config.filters.any_enabled():
@@ -160,7 +162,7 @@ def run(config: PipelineConfig) -> PipelineStats:
             stats.render = clock.run(
                 "render", lambda s=scene: render_all(s, poses, config))
             log.info("rendered %d images in %.2fs", stats.render.images_rendered,
-                     stats.render.seconds)
+                     clock.timings["render"])
             scene = clock.run("cull", lambda s=scene: cull_unrendered(s))
             log.info("culled to %d gaussians with non-zero contribution", scene.count)
         else:
@@ -175,35 +177,23 @@ def run(config: PipelineConfig) -> PipelineStats:
         cloud, stats.points = clock.run("sample", sample)
 
         output = Path(config.output)
-        def write():
-            created.append(output)
-            formats.write_pointcloud_ply(cloud, output)
-        clock.run("write", write)
+        clock.run("write", lambda: formats.write_pointcloud_ply(cloud, output))
         stats.output = str(output)
         log.info("wrote %d points to %s", len(cloud), output)
 
         if config.mesh_prep:
-            if not poses:
-                raise UsageError("--mesh-prep requires camera poses (--cameras)")
             def surface(s=scene):
                 return export_surface_cloud(s, config, config)
             surface_cloud, stats.surface_points = clock.run("surface", surface)
             stats.surface_points_after_cleanup = len(surface_cloud)
             spath = surface_output_path(output)
-            def write_surface():
-                created.append(spath)
-                formats.write_pointcloud_ply(surface_cloud, spath)
-            clock.run("write-surface", write_surface)
+            clock.run("write-surface",
+                      lambda: formats.write_pointcloud_ply(surface_cloud, spath))
             stats.surface_output = str(spath)
             log.info("wrote %d oriented surface points to %s", len(surface_cloud), spath)
+    except UsageError:
+        raise
     except Exception as err:
-        for path in created:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        if isinstance(err, UsageError):
-            raise
         raise PipelineError(clock.current, err) from err
 
     stats.timings_seconds = dict(clock.timings)

@@ -18,13 +18,14 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import RenderConfig, resolve_workers
 from .errors import DomainError
+from .formats import atomic_write
 from .sampler import quantize_colours
 from .scene import ContributionState, GaussianScene
 from .types import CameraPose
@@ -116,15 +117,12 @@ class TileComposite:
 @dataclass
 class RenderStats:
     images_rendered: int = 0
-    gaussians_projected: int = 0
-    gaussians_excluded: int = 0
     tiles: int = 0
     tiles_subdivided: int = 0
     max_tile_product: int = 0
     singular_skips: int = 0
     pairs_evaluated: int = 0
     pixels_terminated: int = 0
-    seconds: float = 0.0
 
 
 def project(scene: GaussianScene, pose: CameraPose) -> ProjectedGaussians:
@@ -256,9 +254,7 @@ def _subdivide(rect, members, level, projected, budget, out):
 
 
 def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianScene,
-                   buffers: ImageBuffers, contributions: ContributionState | None = None,
-                   *, background=(0.0, 0.0, 0.0), image_rank: int = 0,
-                   camera_centre=None) -> TileComposite:
+                   buffers: ImageBuffers, *, background=(0.0, 0.0, 0.0)) -> TileComposite:
     """Composite one tile front to back and report best-pixel candidates.
 
     Each member's box, clipped to the tile, expands into (member, pixel)
@@ -266,10 +262,8 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
     whose transmittance fell below the early-out in an earlier run are
     dropped before their falloff is evaluated.
 
-    Writes the tile's rect into ``buffers``. When ``contributions`` is given
-    the candidates are merged immediately; parallel callers instead merge
-    the returned ``TileComposite`` objects themselves (the merge is a total
-    order, so any merge order produces the same state).
+    Writes the tile's rect into ``buffers`` and returns the tile's
+    candidates; ``render_image`` merges them into the contribution state.
     """
     background = np.asarray(background, dtype=np.float64)
     image_width = buffers.image.shape[1]
@@ -392,7 +386,7 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
 
     contributing = np.flatnonzero(best_values > 0.0)
     local = best_local[contributing]
-    result = TileComposite(
+    return TileComposite(
         rows=rows[contributing],
         values=best_values[contributing],
         pixel_index=(tile.y0 + local // width) * image_width + tile.x0 + local % width,
@@ -400,13 +394,6 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
         singular_skips=singular,
         pairs_evaluated=evaluated,
     )
-    if contributions is not None:
-        contributions.offer(
-            projected.gaussian_index[result.rows], result.values, result.colours,
-            image_rank, result.pixel_index,
-            np.zeros(3) if camera_centre is None else camera_centre,
-        )
-    return result
 
 
 def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
@@ -416,8 +403,6 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
     """Render one camera view, updating ``contributions`` when given."""
     stats = RenderStats(images_rendered=1)
     projected = project(scene, pose)
-    stats.gaussians_projected = len(projected)
-    stats.gaussians_excluded = scene.count - len(projected)
 
     tiles = tile_scene(projected, pose.width, pose.height,
                        config.tile_budget, config.tile_size)
@@ -426,12 +411,9 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
     stats.max_tile_product = max((t.product for t in tiles), default=0)
 
     buffers = ImageBuffers.allocate(pose.width, pose.height)
-    centre = pose.camera_centre
 
     def run_tile(tile: Tile) -> TileComposite:
-        return composite_tile(tile, projected, scene, buffers, None,
-                              background=config.background,
-                              image_rank=image_rank, camera_centre=centre)
+        return composite_tile(tile, projected, scene, buffers, background=config.background)
 
     workers = resolve_workers(config.threads)
     if workers > 1 and len(tiles) > 1:
@@ -447,7 +429,7 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
         if contributions is not None and len(piece.rows):
             contributions.offer(
                 projected.gaussian_index[piece.rows], piece.values, piece.colours,
-                image_rank, piece.pixel_index, centre,
+                image_rank, piece.pixel_index, pose.camera_centre,
             )
     return buffers, stats
 
@@ -455,6 +437,8 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
 def render_all(scene: GaussianScene, poses: list[CameraPose],
                config: RenderConfig) -> RenderStats:
     """Render every pose and leave the per-Gaussian best colours in the scene.
+
+    Replaces ``scene.contribution`` with the state of this pass.
 
     Poses are processed in a deterministic order (stable sort by image_id);
     ``skip_cameras=k`` with k >= 2 drops every k-th pose from that order.
@@ -471,26 +455,16 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
     if config.render_scale != 1.0:
         ordered = [p.scaled(config.render_scale) for p in ordered]
 
-    state = scene.contribution
-    state.reset(config.background)
-    state.rendered = True
+    scene.contribution = ContributionState.initial(scene.count, config.background)
 
     if config.save_renders is not None:
         Path(config.save_renders).mkdir(parents=True, exist_ok=True)
 
-    total = RenderStats()
+    views = []
     started = time.perf_counter()
     for rank, pose in enumerate(ordered):
-        buffers, stats = render_image(scene, pose, config, rank, state)
-        total.images_rendered += 1
-        total.gaussians_projected += stats.gaussians_projected
-        total.gaussians_excluded += stats.gaussians_excluded
-        total.tiles += stats.tiles
-        total.tiles_subdivided += stats.tiles_subdivided
-        total.max_tile_product = max(total.max_tile_product, stats.max_tile_product)
-        total.singular_skips += stats.singular_skips
-        total.pairs_evaluated += stats.pairs_evaluated
-        total.pixels_terminated += stats.pixels_terminated
+        buffers, stats = render_image(scene, pose, config, rank, scene.contribution)
+        views.append(stats)
         if config.save_renders is not None:
             write_ppm(Path(config.save_renders) / f"render_{rank:04d}.ppm", buffers.image)
         elapsed = time.perf_counter() - started
@@ -498,7 +472,9 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
         log.info("rendered view %d/%d (image_id=%s), %.1fs elapsed, ETA %.1fs",
                  rank + 1, len(ordered), pose.image_id, elapsed,
                  elapsed / (rank + 1) * remaining)
-    total.seconds = time.perf_counter() - started
+    total = RenderStats(**{f.name: sum(getattr(v, f.name) for v in views)
+                           for f in fields(RenderStats)})
+    total.max_tile_product = max(v.max_tile_product for v in views)
     return total
 
 
@@ -506,6 +482,6 @@ def write_ppm(path, image: np.ndarray) -> None:
     """Write a float image as binary 8-bit PPM (P6); bit-exact baseline dump."""
     data = quantize_colours(image)
     height, width = data.shape[:2]
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         fh.write(data.tobytes())

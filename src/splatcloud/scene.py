@@ -125,11 +125,12 @@ def build_covariance(log_scale, rotation_unit, index: int = 0) -> np.ndarray:
 class ContributionState:
     """Per-Gaussian running maximum of rendering contribution.
 
-    ``best_colour`` starts at the background colour and is replaced by the
-    colour of the pixel with the largest contribution seen so far. The
-    auxiliary image-rank / pixel-index / camera-centre columns make the
-    update a total order, so merges commute (any tile or thread order gives
-    the same state) and record which camera saw each Gaussian best.
+    ``render_all`` creates one per colour pass. ``best_colour`` starts at the
+    background colour and is replaced by the colour of the pixel with the
+    largest contribution seen so far. The auxiliary image-rank / pixel-index /
+    camera-centre columns make the update a total order, so merges commute
+    (any tile or thread order gives the same state) and record which camera
+    saw each Gaussian best.
     """
 
     best_contribution: np.ndarray
@@ -137,8 +138,6 @@ class ContributionState:
     best_image_rank: np.ndarray
     best_pixel_index: np.ndarray
     best_camera_centre: np.ndarray
-    background: np.ndarray
-    rendered: bool = False
 
     @classmethod
     def initial(cls, count: int, background=(0.0, 0.0, 0.0)) -> "ContributionState":
@@ -149,13 +148,7 @@ class ContributionState:
             best_image_rank=np.full(count, np.iinfo(np.int64).max, dtype=np.int64),
             best_pixel_index=np.full(count, np.iinfo(np.int64).max, dtype=np.int64),
             best_camera_centre=np.full((count, 3), np.nan),
-            background=background,
-            rendered=False,
         )
-
-    def reset(self, background) -> None:
-        fresh = ContributionState.initial(len(self.best_contribution), background)
-        self.__dict__.update(fresh.__dict__)
 
     def offer(self, gaussians, values, colours, image_rank, pixel_index, camera_centre):
         """Merge per-pixel contribution candidates (one row per Gaussian).
@@ -189,8 +182,6 @@ class ContributionState:
             best_image_rank=self.best_image_rank[selector],
             best_pixel_index=self.best_pixel_index[selector],
             best_camera_centre=self.best_camera_centre[selector],
-            background=self.background,
-            rendered=self.rendered,
         )
 
 
@@ -205,7 +196,8 @@ class GaussianScene:
     covariance: np.ndarray      # (N, 3, 3) SPD
     cov_cholesky: np.ndarray    # (N, 3, 3) lower factors of covariance
     base_colour: np.ndarray     # (N, 3) in [0, 1]
-    contribution: ContributionState = field(repr=False, default=None)
+    # None until render_all runs a colour pass
+    contribution: ContributionState | None = field(repr=False, default=None)
 
     @property
     def count(self) -> int:
@@ -216,7 +208,7 @@ class GaussianScene:
 
     def point_colours(self) -> np.ndarray:
         """Colour source for sampled points: rendered colours when available."""
-        if self.contribution is not None and self.contribution.rendered:
+        if self.contribution is not None:
             return self.contribution.best_colour
         return self.base_colour
 
@@ -230,11 +222,11 @@ class GaussianScene:
             covariance=self.covariance[selector],
             cov_cholesky=self.cov_cholesky[selector],
             base_colour=self.base_colour[selector],
-            contribution=self.contribution.take(selector),
+            contribution=None if self.contribution is None else self.contribution.take(selector),
         )
 
 
-def activate(raw: RawGaussians, background=(0.0, 0.0, 0.0)) -> GaussianScene:
+def activate(raw: RawGaussians) -> GaussianScene:
     """Turn raw Gaussians into a render-ready scene.
 
     Applies sigmoid to opacity logits, normalises quaternions, evaluates the
@@ -261,7 +253,7 @@ def activate(raw: RawGaussians, background=(0.0, 0.0, 0.0)) -> GaussianScene:
         if len(position) == 0:
             raise DomainError("all gaussians were degenerate")
 
-    scene = GaussianScene(
+    return GaussianScene(
         position=position,
         log_scale=log_scale,
         rotation_unit=rotation_unit,
@@ -269,9 +261,7 @@ def activate(raw: RawGaussians, background=(0.0, 0.0, 0.0)) -> GaussianScene:
         covariance=covariance,
         cov_cholesky=chol,
         base_colour=base_colour,
-        contribution=ContributionState.initial(len(position), background),
     )
-    return scene
 
 
 def filter_scene(scene: GaussianScene, filters: FilterConfig) -> GaussianScene:
@@ -297,7 +287,7 @@ def cull_unrendered(scene: GaussianScene) -> GaussianScene:
 
     A no-op when no rendering pass ran (no cameras supplied).
     """
-    if scene.contribution is None or not scene.contribution.rendered:
+    if scene.contribution is None:
         return scene
     keep = scene.contribution.best_contribution > 0.0
     if not np.any(keep):

@@ -37,7 +37,7 @@ def select_surface(scene: GaussianScene) -> SurfaceSelection:
     whenever any Gaussian contributed at all.
     """
     state = scene.contribution
-    if state is None or not state.rendered:
+    if state is None:
         raise DomainError("surface selection requires a completed rendering pass")
     # clamp to the max: the float mean of identical values can round above
     # them, which would otherwise empty the selection

@@ -43,7 +43,7 @@ from splatcloud.sampler import (
     mahalanobis_batch,
     sample_batch,
 )
-from splatcloud.scene import activate
+from splatcloud.scene import ContributionState, activate
 from splatcloud.surface import export_surface_cloud, remove_statistical_outliers
 from splatcloud.types import PointCloud, RawGaussians
 
@@ -96,9 +96,7 @@ def test_02_tiled_equals_bruteforce():
                                 centre_offset=(rng.uniform(-2, 2), rng.uniform(-2, 2)))
             config = RenderConfig(tile_budget=600, tile_size=16, threads=1)
 
-            state = scene.contribution
-            state.reset(config.background)
-            state.rendered = True
+            state = ContributionState.initial(scene.count, config.background)
             buffers, stats = render_image(scene, pose, config, 0, state)
             assert stats.tiles_subdivided > 0, "budget must force subdivision"
 
@@ -148,9 +146,7 @@ def test_03_colour_reassignment_under_occlusion():
         front, rear = occlusion_fixture(rng)
         scene = activate(concat(front, rear))
         pose = frontal_pose(width=40, height=40, focal=36.0, distance=5.0)
-        state = scene.contribution
-        state.reset((0.0, 0.0, 0.0))
-        state.rendered = True
+        state = ContributionState.initial(scene.count, (0.0, 0.0, 0.0))
         buffers, _ = render_image(scene, pose, RenderConfig(threads=1), 0, state)
 
         projected = project(scene, pose)

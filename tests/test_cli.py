@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from splatcloud import pipeline
 from splatcloud.cli import main
-from splatcloud.errors import UsageError
+from splatcloud.errors import DomainError, UsageError
 from splatcloud.formats import read_pointcloud_ply, write_gaussians_ply
 from splatcloud.pipeline import detect_format, surface_output_path
 from splatcloud.scene import activate
@@ -191,6 +192,35 @@ def test_mesh_prep_without_cameras_fails_and_cleans_up(tmp_path, scene_ply):
                  "--mesh-prep", "--threads", "1"])
     assert code == 2
     assert not out.exists()  # partial output removed
+
+
+@pytest.mark.parametrize("zero_poses", [False, True], ids=["no-cameras", "zero-poses"])
+def test_mesh_prep_without_poses_fails_before_sampling(tmp_path, scene_ply, monkeypatch,
+                                                       zero_poses):
+    sampled = []
+    monkeypatch.setattr(pipeline, "generate_pointcloud", lambda *args: sampled.append(args))
+    argv = [str(scene_ply), str(tmp_path / "cloud.ply"), "--mesh-prep", "--threads", "1"]
+    if zero_poses:
+        transforms = tmp_path / "transforms.json"
+        transforms.write_text(json.dumps({"camera_angle_x": 0.9, "frames": []}))
+        argv += ["--cameras", str(transforms)]
+    assert main(argv) == 2
+    assert sampled == []
+
+
+def test_surface_failure_keeps_the_complete_main_cloud(tmp_path, scene_ply, colmap_dir,
+                                                       monkeypatch, capsys):
+    def failing_surface(*args):
+        raise DomainError("surface selection is empty")
+
+    monkeypatch.setattr(pipeline, "export_surface_cloud", failing_surface)
+    out = tmp_path / "cloud.ply"
+    assert main([str(scene_ply), str(out), "--cameras", str(colmap_dir),
+                 "--num-points", "200", "--mesh-prep", "--threads", "1"]) == 1
+    assert "[surface]" in capsys.readouterr().err
+    assert len(read_pointcloud_ply(out)) > 0
+    assert not surface_output_path(out).exists()
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_cameras_empty_json_warns(tmp_path, scene_ply, caplog):

@@ -35,7 +35,11 @@ OPTION_VALUES = {
     "surface-points": "77", "sor-k": "7", "sor-std": "1.5", "threads": "3",
 }
 
-CHECKED = [f for f in fields(PipelineConfig) if f.metadata.get("check")]
+# Other flags an option is only valid with.
+REQUIRED_WITH = {"mesh-prep": ["--cameras", "sparse/0"]}
+
+CHECKED = [f for cls in (PipelineConfig, FilterConfig) for f in fields(cls)
+           if f.metadata.get("check")]
 
 
 def flag_of(f):
@@ -54,7 +58,12 @@ OUT_OF_RANGE = {
     "--sor-std": ("-1", "--sor-std must be > 0, got -1.0"),
     "--threads": ("-1", "--threads must be >= 0, got -1"),
     "--background": ("256,0,0", "background channels must be within 0-255"),
+    "--max-scale": ("0", "--max-scale must be > 0, got 0.0"),
+    "--min-opacity": ("1.5", "--min-opacity must be within 0..1, got 1.5"),
 }
+
+# NaN as each checked flag and --bbox take it.
+NAN_TEXT = {"--background": "nan,nan,nan", "--bbox": "nan,0,0,1,1,1"}
 
 
 def exit_code(argv) -> int:
@@ -95,11 +104,12 @@ def test_every_option_has_a_test_value():
 def test_flag_and_config_file_build_equal_configs(tmp_path, captured_config, name):
     value = OPTION_VALUES[name]
     flag = f"--{name}" if value is None else f"--{name}={value}"
-    assert cli.main(["scene.ply", "cloud.ply", flag]) == 0
+    args = ["scene.ply", "cloud.ply", *REQUIRED_WITH.get(name, [])]
+    assert cli.main([*args, flag]) == 0
     for key in (name, name.replace("-", "_")):
         config_file = tmp_path / f"{key}.cfg"
         config_file.write_text(f"{key} = {'true' if value is None else value}\n")
-        assert cli.main(["scene.ply", "cloud.ply", "--config", str(config_file)]) == 0
+        assert cli.main([*args, "--config", str(config_file)]) == 0
 
     by_flag, by_file, by_underscored_key = captured_config
     assert by_flag == by_file == by_underscored_key
@@ -128,10 +138,9 @@ def test_checked_options_include_sigma_and_sor_std():
     assert {flag_of(f) for f in CHECKED} == set(OUT_OF_RANGE)
 
 
-@pytest.mark.parametrize("f", CHECKED, ids=flag_of)
-def test_nan_is_rejected_as_flag_and_config_line(tmp_path, capsys, captured_config, f):
-    flag = flag_of(f)
-    nan = "nan,nan,nan" if flag == "--background" else "nan"
+@pytest.mark.parametrize("flag", [flag_of(f) for f in CHECKED] + ["--bbox"])
+def test_nan_is_rejected_as_flag_and_config_line(tmp_path, capsys, captured_config, flag):
+    nan = NAN_TEXT.get(flag, "nan")
     assert exit_code(["scene.ply", "cloud.ply", flag, nan]) == 2
     assert flag in capsys.readouterr().err
 
@@ -156,6 +165,9 @@ def test_out_of_range_value_keeps_its_message(capsys, captured_config, flag):
     ({"num_points": math.nan}, "--num-points must be >= 1, got nan"),
     ({"background": (0.0, 2.0, 0.0)}, "--background channels must be within 0..1"),
     ({"background": (math.nan, 0.0, 0.0)}, "--background channels must be within 0..1"),
+    ({"filters": FilterConfig(max_scale=math.nan)}, "--max-scale must be > 0, got nan"),
+    ({"filters": FilterConfig(min_opacity=math.nan)}, "--min-opacity must be within 0..1"),
+    ({"mesh_prep": True}, "--mesh-prep requires camera poses"),
 ])
 def test_python_api_validation(override, message):
     config = PipelineConfig(input_gaussians="scene.ply", output="cloud.ply", **override)
@@ -169,9 +181,8 @@ def test_sigma_inf_still_disables_the_guard():
 
 
 def test_stats_report_schema():
-    render = RenderStats(images_rendered=2, gaussians_projected=9, gaussians_excluded=1,
-                         tiles=3, tiles_subdivided=1, max_tile_product=40, singular_skips=0,
-                         pairs_evaluated=100, pixels_terminated=7, seconds=0.5)
+    render = RenderStats(images_rendered=2, tiles=3, tiles_subdivided=1, max_tile_product=40,
+                         singular_skips=0, pairs_evaluated=100, pixels_terminated=7)
     stats = PipelineStats(
         gaussians_loaded=10, gaussians_after_filters=9, gaussians_after_cull=8, cameras=2,
         render=render, points=SampleStats(100, 99, 98, 5),

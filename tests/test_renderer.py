@@ -40,7 +40,6 @@ def colour_scene(colours, opacities) -> GaussianScene:
         covariance=np.tile(np.eye(3), (n, 1, 1)),
         cov_cholesky=np.tile(np.eye(3), (n, 1, 1)),
         base_colour=np.asarray(colours, dtype=np.float64),
-        contribution=ContributionState.initial(n),
     )
 
 
@@ -214,26 +213,24 @@ def centred_tile_setup(opacities, colours, depths=None):
 def test_single_gaussian_composite():
     background = np.array([1.0, 1.0, 1.0])
     projected, scene, tile, buffers = centred_tile_setup([0.6], [[1.0, 0.0, 0.0]])
-    state = scene.contribution
-    composite_tile(tile, projected, scene, buffers, state, background=background,
-                   camera_centre=np.zeros(3))
+    result = composite_tile(tile, projected, scene, buffers, background=background)
     # centred on pixel (8, 8): a = 0.6, t = 1, C = 0.6
-    assert state.best_contribution[0] == pytest.approx(0.6, abs=0)
+    np.testing.assert_array_equal(result.rows, [0])
+    assert result.values[0] == pytest.approx(0.6, abs=0)
     np.testing.assert_allclose(buffers.image[8, 8],
                                0.6 * np.array([1.0, 0, 0]) + 0.4 * background, atol=0)
-    assert state.best_pixel_index[0] == 8 * 16 + 8
+    assert result.pixel_index[0] == 8 * 16 + 8
 
 
 def test_two_gaussians_composite():
     background = np.array([0.25, 0.25, 0.25])
     c1, c2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     projected, scene, tile, buffers = centred_tile_setup([0.6, 0.5], [c1, c2])
-    state = scene.contribution
-    composite_tile(tile, projected, scene, buffers, state, background=background,
-                   camera_centre=np.zeros(3))
+    result = composite_tile(tile, projected, scene, buffers, background=background)
     # front to back: C1 = 0.6, C2 = 0.5 * 0.4 = 0.2, residual 0.2 of background
-    assert state.best_contribution[0] == pytest.approx(0.6, abs=0)
-    assert state.best_contribution[1] == pytest.approx(0.2, abs=1e-15)
+    np.testing.assert_array_equal(result.rows, [0, 1])
+    assert result.values[0] == pytest.approx(0.6, abs=0)
+    assert result.values[1] == pytest.approx(0.2, abs=1e-15)
     np.testing.assert_allclose(buffers.image[8, 8],
                                0.6 * c1 + 0.2 * c2 + 0.2 * background, atol=1e-15)
 
@@ -245,10 +242,9 @@ def test_empty_tile_is_background():
                                      [[96, 96, 104, 104]])
     tile = Tile(0, 0, 8, 8, members=np.zeros(0, dtype=np.int64))
     buffers = ImageBuffers.allocate(8, 8)
-    state = scene.contribution
-    composite_tile(tile, projected, scene, buffers, state, background=background)
+    result = composite_tile(tile, projected, scene, buffers, background=background)
     assert np.all(buffers.image == background)
-    assert np.all(state.best_contribution == 0.0)
+    assert len(result.rows) == len(result.values) == 0
 
 
 def test_singular_cov2d_skipped_with_counter():
@@ -258,7 +254,7 @@ def test_singular_cov2d_skipped_with_counter():
     scene = colour_scene([[1.0, 0, 0]], [0.6])
     tile = Tile(0, 0, 16, 16, members=np.array([0]))
     buffers = ImageBuffers.allocate(16, 16)
-    result = composite_tile(tile, projected, scene, buffers, scene.contribution)
+    result = composite_tile(tile, projected, scene, buffers)
     assert result.singular_skips == 1
     assert np.all(buffers.image == 0.0)
 
@@ -270,9 +266,7 @@ def test_singular_cov2d_skipped_with_counter():
 def assert_matches_reference(scene, pose, config=None, atol=1e-9):
     config = config or RenderConfig(threads=1)
     projected = project(scene, pose)
-    state = scene.contribution
-    state.reset(config.background)
-    state.rendered = True
+    state = scene.contribution = ContributionState.initial(scene.count, config.background)
     buffers, stats = render_image(scene, pose, config, 0, state)
     image, t_final, weight_sum, terminated, best = composite_reference(
         projected, scene.base_colour, config.background, pose.width, pose.height)
@@ -403,18 +397,14 @@ def test_subdivided_equals_giant_tile(rng):
     scene = random_scene(rng, 16, spread=1.0)
     pose = frontal_pose(width=56, height=48, focal=48.0)
 
-    state_a = scene.contribution
-    state_a.reset((0, 0, 0))
-    state_a.rendered = True
+    state_a = ContributionState.initial(scene.count, (0, 0, 0))
     buffers_a, stats_a = render_image(
         scene, pose, RenderConfig(tile_budget=700, threads=1), 0, state_a)
     assert stats_a.tiles_subdivided > 0
     best_a = (state_a.best_contribution.copy(), state_a.best_pixel_index.copy(),
               state_a.best_colour.copy())
 
-    state_b = scene.contribution
-    state_b.reset((0, 0, 0))
-    state_b.rendered = True
+    state_b = ContributionState.initial(scene.count, (0, 0, 0))
     buffers_b, stats_b = render_image(
         scene, pose, RenderConfig(tile_budget=2**40, tile_size=4096, threads=1), 0, state_b)
     assert stats_b.tiles == 1

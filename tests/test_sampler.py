@@ -21,7 +21,7 @@ from splatcloud.sampler import (
     quantize_colours,
     sample_batch,
 )
-from splatcloud.scene import activate
+from splatcloud.scene import ContributionState, activate
 from splatcloud.types import RawGaussians
 
 from conftest import random_scene
@@ -310,13 +310,22 @@ def test_points_ordered_by_gaussian(rng):
 
 def test_colours_use_rendered_best(rng):
     scene = random_scene(rng, 3)
-    scene.contribution.rendered = True
+    scene.contribution = ContributionState.initial(scene.count)
     scene.contribution.best_colour[:] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     scene.contribution.best_contribution[:] = 0.5
     cloud, _ = generate_pointcloud(
         scene, 30, SamplerConfig(sigma=5.0, exact=True, seed=2, threads=1))
     unique = {tuple(c) for c in cloud.colours.tolist()}
     assert unique <= {(255, 0, 0), (0, 255, 0), (0, 0, 255)}
+
+
+def test_colours_use_base_colours_until_rendered(rng):
+    scene = random_scene(rng, 3)
+    assert scene.contribution is None
+    cloud, _ = generate_pointcloud(
+        scene, 30, SamplerConfig(sigma=5.0, exact=True, seed=2, threads=1))
+    unique = {tuple(c) for c in cloud.colours.tolist()}
+    assert unique <= {tuple(c) for c in quantize_colours(scene.base_colour).tolist()}
 
 
 def test_colour_quantisation_rounds_half_up():

@@ -6,6 +6,7 @@ import pytest
 from splatcloud.config import FilterConfig
 from splatcloud.errors import DegenerateGaussianError, DomainError
 from splatcloud.scene import (
+    ContributionState,
     activate,
     build_covariance,
     cull_unrendered,
@@ -202,7 +203,7 @@ def test_cull_without_render_is_identity(rng):
 
 def test_cull_removes_zero_contribution(rng):
     scene = random_scene(rng, 4)
-    scene.contribution.rendered = True
+    scene.contribution = ContributionState.initial(scene.count)
     scene.contribution.best_contribution[:] = [0.5, 0.0, 0.25, 0.0]
     culled = cull_unrendered(scene)
     assert culled.count == 2
@@ -211,13 +212,13 @@ def test_cull_removes_zero_contribution(rng):
 
 def test_cull_all_positive_is_identity(rng):
     scene = random_scene(rng, 4)
-    scene.contribution.rendered = True
+    scene.contribution = ContributionState.initial(scene.count)
     scene.contribution.best_contribution[:] = 0.1
     assert cull_unrendered(scene) is scene
 
 
 def test_cull_everything_is_error(rng):
     scene = random_scene(rng, 4)
-    scene.contribution.rendered = True
+    scene.contribution = ContributionState.initial(scene.count)
     with pytest.raises(DomainError):
         cull_unrendered(scene)

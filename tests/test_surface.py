@@ -8,7 +8,7 @@ from splatcloud.config import RenderConfig, SamplerConfig, SurfaceConfig
 from splatcloud.errors import DomainError
 from splatcloud.renderer import project, render_all
 from splatcloud.sampler import SampleBatch  # noqa: F401  (re-exported surface input)
-from splatcloud.scene import activate
+from splatcloud.scene import ContributionState, activate
 from splatcloud.surface import (
     export_surface_cloud,
     remove_statistical_outliers,
@@ -22,7 +22,7 @@ from conftest import concat, frontal_pose, random_scene
 
 def rendered_scene(rng, n=4):
     scene = random_scene(rng, n)
-    scene.contribution.rendered = True
+    scene.contribution = ContributionState.initial(scene.count)
     scene.contribution.best_camera_centre[:] = [0.0, 0.0, -5.0]
     return scene
 
@@ -81,7 +81,7 @@ def scene_with(log_scale, rotation, camera_centre=(0.0, 0.0, -5.0)):
         logit_opacity=2.0,
         sh_dc=np.zeros(3),
     ))
-    scene.contribution.rendered = True
+    scene.contribution = ContributionState.initial(scene.count)
     scene.contribution.best_contribution[:] = 1.0
     scene.contribution.best_camera_centre[:] = camera_centre
     return scene
