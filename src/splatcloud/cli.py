@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -30,8 +29,6 @@ def _parse_bbox(text: str):
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(
             "bbox must be minx,miny,minz,maxx,maxy,maxz")
-    if not all(math.isfinite(p) for p in parts):
-        raise argparse.ArgumentTypeError(f"bbox values must be finite, got {text}")
     return tuple(parts)
 
 

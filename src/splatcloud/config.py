@@ -10,6 +10,7 @@ config is.
 
 from __future__ import annotations
 
+import math
 import os
 from argparse import ArgumentTypeError
 from dataclasses import MISSING, Field, dataclass, field, fields
@@ -171,5 +172,8 @@ class PipelineConfig(SurfaceConfig, RenderConfig, SamplerConfig):
                 off = value is None and f.default is None  # e.g. a filter left off
                 if check is not None and not off and not check[0](value):
                     raise UsageError(f"{option_flag(option_key(f))} {check[1]}, got {value}")
+        for corner in (self.filters.bbox_min, self.filters.bbox_max):
+            if corner is not None and not all(math.isfinite(v) for v in corner):
+                raise UsageError(f"--bbox values must be finite, got {corner}")
         if self.mesh_prep and self.input_cameras is None:
             raise UsageError("--mesh-prep requires camera poses (--cameras)")

@@ -21,14 +21,6 @@ class DomainError(SplatCloudError, ValueError):
     """Pipeline state violates an operation precondition."""
 
 
-class DegenerateGaussianError(DomainError):
-    """A covariance could not be factorised even after regularisation."""
-
-    def __init__(self, index, message: str = "covariance is not positive-definite"):
-        super().__init__(f"gaussian {index}: {message}")
-        self.index = index
-
-
 class UsageError(SplatCloudError, ValueError):
     """Bad command-line or configuration input (maps to exit code 2)."""
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DomainError, FileFormatError
-from ..scene import SH_C0
+from ..sampler import quantize_colours
+from ..scene import SH_C0, sigmoid
 from ..types import RawGaussians
 from .atomic import atomic_write
 
@@ -80,9 +81,8 @@ def encode_gaussians_splat(raw: RawGaussians) -> bytes:
     table["position"] = raw.position.astype(np.float32)
     table["scale"] = np.exp(raw.log_scale).astype(np.float32)
     colour = np.clip(0.5 + SH_C0 * raw.sh_dc, 0.0, 1.0)
-    opacity = 1.0 / (1.0 + np.exp(-raw.logit_opacity))
-    table["rgba"][:, :3] = np.floor(colour * 255.0 + 0.5).astype(np.uint8)
-    table["rgba"][:, 3] = np.floor(opacity * 255.0 + 0.5).astype(np.uint8)
+    table["rgba"][:, :3] = quantize_colours(colour)
+    table["rgba"][:, 3] = quantize_colours(sigmoid(raw.logit_opacity))
     quat = np.clip(np.floor(raw.rotation * 128.0 + 128.0 + 0.5), 0, 255)
     table["quat"] = quat.astype(np.uint8)
     return table.tobytes()

@@ -12,10 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .config import SamplerConfig, resolve_workers
-from .errors import DegenerateGaussianError, DomainError
+from .errors import DomainError
 from .scene import GaussianScene
 from .types import PointCloud
 
@@ -24,15 +23,6 @@ log = logging.getLogger(__name__)
 # Allocations above this size are rounded to multiples of this bin width.
 BIN_THRESHOLD = 50
 BIN_WIDTH = 5
-
-
-@dataclass
-class AllocationPlan:
-    """How many points each Gaussian receives."""
-
-    per_gaussian_count: np.ndarray
-    total_requested: int
-    mode: str  # "exact" | "binned"
 
 
 @dataclass
@@ -63,14 +53,15 @@ def _round_half_up(x):
     return np.floor(x + 0.5)
 
 
-def allocate(volumes, total: int, mode: str = "exact") -> AllocationPlan:
+def allocate(volumes, total: int, mode: str = "exact") -> np.ndarray:
     """Split ``total`` points across Gaussians proportionally to volume.
 
-    Exact mode uses largest-remainder apportionment so counts sum precisely
-    to ``total`` (remainder ties go to the larger volume, then the lower
-    index). Binned mode rounds raw shares above 50 to the nearest multiple
-    of 5 (half up) and smaller shares to the nearest integer; its total may
-    deviate from the request.
+    Returns each Gaussian's count as an int64 array. Exact mode uses
+    largest-remainder apportionment so counts sum precisely to ``total``
+    (remainder ties go to the larger volume, then the lower index). Binned
+    mode rounds raw shares above 50 to the nearest multiple of 5 (half up)
+    and smaller shares to the nearest integer; its total may deviate from
+    the request.
     """
     volumes = np.asarray(volumes, dtype=np.float64)
     if total < 1:
@@ -85,12 +76,11 @@ def allocate(volumes, total: int, mode: str = "exact") -> AllocationPlan:
 
     shares = total * (volumes / volume_sum)
     if mode == "binned":
-        counts = np.where(
+        return np.where(
             shares > BIN_THRESHOLD,
             _round_half_up(shares / BIN_WIDTH) * BIN_WIDTH,
             _round_half_up(shares),
         ).astype(np.int64)
-        return AllocationPlan(counts, total, mode)
 
     counts = np.floor(shares).astype(np.int64)
     shortfall = int(total - counts.sum())
@@ -98,27 +88,7 @@ def allocate(volumes, total: int, mode: str = "exact") -> AllocationPlan:
         remainders = shares - np.floor(shares)
         order = np.lexsort((np.arange(len(volumes)), -volumes, -remainders))
         counts[order[:shortfall]] += 1
-    return AllocationPlan(counts, total, mode)
-
-
-def mahalanobis(point, mean, covariance) -> float:
-    """Covariance-normalised distance, via triangular solve on the Cholesky factor."""
-    covariance = np.asarray(covariance, dtype=np.float64)
-    try:
-        chol = np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError as err:
-        raise DegenerateGaussianError("<single>", str(err)) from err
-    diff = np.asarray(point, dtype=np.float64) - np.asarray(mean, dtype=np.float64)
-    y = solve_triangular(chol, diff, lower=True)
-    return float(np.linalg.norm(y))
-
-
-def mahalanobis_batch(points, mean, covariance) -> np.ndarray:
-    """Distances of many points to one Gaussian (same maths as above)."""
-    chol = np.linalg.cholesky(np.asarray(covariance, dtype=np.float64))
-    diff = np.asarray(points, dtype=np.float64) - np.asarray(mean, dtype=np.float64)
-    y = solve_triangular(chol, diff.T, lower=True)
-    return np.linalg.norm(y, axis=0)
+    return counts
 
 
 def derive_batch_seed(global_seed: int, smallest_index: int, count: int) -> int:
@@ -201,8 +171,8 @@ def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
     if scene.count == 0:
         raise DomainError("cannot sample from an empty scene")
     volumes = gaussian_volume(scene.log_scale)
-    plan = allocate(volumes, total, "exact" if config.exact else "binned")
-    batches = build_batches(plan.per_gaussian_count, config.seed)
+    counts = allocate(volumes, total, "exact" if config.exact else "binned")
+    batches = build_batches(counts, config.seed)
 
     def run(batch: SampleBatch):
         return sample_batch(batch, scene, config.sigma, config.max_resample_rounds)
@@ -214,7 +184,7 @@ def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
     else:
         results = [run(batch) for batch in batches]
 
-    stats = SampleStats(requested=total, allocated=int(plan.per_gaussian_count.sum()))
+    stats = SampleStats(requested=total, allocated=int(counts.sum()))
     if not results:
         return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8), \
             np.zeros(0, dtype=np.int64), stats

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FilterConfig
-from .errors import DegenerateGaussianError, DomainError
+from .errors import DomainError
 from .types import RawGaussians
 
 log = logging.getLogger(__name__)
@@ -105,20 +105,6 @@ def _regularised_covariances(log_scale: np.ndarray, rotation_unit: np.ndarray):
             break
         eps *= 10.0
     return out, chol, ok
-
-
-def build_covariance(log_scale, rotation_unit, index: int = 0) -> np.ndarray:
-    """Covariance of a single Gaussian: R diag(e^{2s}) R^T plus regularisation.
-
-    Raises DegenerateGaussianError (carrying ``index``) when the epsilon
-    ladder is exhausted without a successful factorisation.
-    """
-    log_scale = np.asarray(log_scale, dtype=np.float64).reshape(1, 3)
-    rotation_unit = np.asarray(rotation_unit, dtype=np.float64).reshape(1, 4)
-    cov, _, ok = _regularised_covariances(log_scale, rotation_unit)
-    if not ok[0]:
-        raise DegenerateGaussianError(index)
-    return cov[0]
 
 
 @dataclass

@@ -11,7 +11,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import SamplerConfig, SurfaceConfig, resolve_workers
 from .errors import DomainError
@@ -84,6 +83,8 @@ def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
         raise DomainError(
             f"outlier removal needs more than {k_neighbours} points, got {len(cloud)}"
         )
+    from scipy.spatial import cKDTree  # imported here so only --mesh-prep loads scipy
+
     points = cloud.points.astype(np.float64)
     tree = cKDTree(points)
     distances, _ = tree.query(points, k=k_neighbours + 1, workers=workers)

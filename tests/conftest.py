@@ -11,6 +11,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import reference`
 
+# The package sources, for tests that start a fresh interpreter.
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 from splatcloud.scene import activate
 from splatcloud.types import CameraPose, RawGaussians
 

@@ -185,6 +185,11 @@ def sor_reference(points, k, std_ratio):
 
 
 def mahalanobis_reference(point, mean, cov):
-    """Direct evaluation with an explicit matrix inverse."""
+    """Direct evaluation with an explicit matrix inverse.
+
+    ``point`` is one point (a float comes back) or an (n, 3) array (an (n,)
+    array of distances comes back).
+    """
     diff = np.asarray(point, dtype=np.float64) - np.asarray(mean, dtype=np.float64)
-    return math.sqrt(float(diff @ np.linalg.inv(cov) @ diff))
+    squared = np.einsum("...i,ij,...j->...", diff, np.linalg.inv(cov), diff)
+    return math.sqrt(squared) if diff.ndim == 1 else np.sqrt(squared)

@@ -1,6 +1,9 @@
 """CLI behaviour: format detection, exit codes, config files, stats output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from splatcloud.formats import read_pointcloud_ply, write_gaussians_ply
 from splatcloud.pipeline import detect_format, surface_output_path
 from splatcloud.scene import activate
 
-from conftest import random_records, write_colmap_bin
+from conftest import SRC, random_records, write_colmap_bin
 
 
 @pytest.fixture
@@ -290,3 +293,13 @@ def test_filter_flags_apply(tmp_path, rng, capsys):
     assert code == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["gaussians"]["after_filters"] < 30
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this one has imported scipy for the tests already
+    script = ("import splatcloud.cli, sys; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -144,3 +144,11 @@ def test_encode_rejects_non_finite_rows(rng, column, index):
     raw.rotation[6] = 0.0
     with pytest.raises(DomainError, match="cannot encode 2 invalid gaussians"):
         encode_gaussians_splat(raw)
+
+
+def test_encode_extreme_opacity_logits(rng):
+    # finite logits far past +-36 saturate to the end bytes without overflowing exp
+    raw = random_records(rng, 2)
+    raw.logit_opacity[:] = (-800.0, 800.0)
+    table = np.frombuffer(encode_gaussians_splat(raw), dtype=np.uint8).reshape(2, 32)
+    assert table[:, 27].tolist() == [0, 255]

@@ -168,6 +168,9 @@ def test_out_of_range_value_keeps_its_message(capsys, captured_config, flag):
     ({"filters": FilterConfig(max_scale=math.nan)}, "--max-scale must be > 0, got nan"),
     ({"filters": FilterConfig(min_opacity=math.nan)}, "--min-opacity must be within 0..1"),
     ({"mesh_prep": True}, "--mesh-prep requires camera poses"),
+    ({"filters": FilterConfig(bbox_min=(math.nan, 0.0, 0.0), bbox_max=(1.0, 1.0, 1.0))},
+     "--bbox values must be finite"),
+    ({"filters": FilterConfig(bbox_max=(1.0, math.inf, 1.0))}, "--bbox values must be finite"),
 ])
 def test_python_api_validation(override, message):
     config = PipelineConfig(input_gaussians="scene.ply", output="cloud.ply", **override)

@@ -15,9 +15,7 @@ from splatcloud.formats import write_gaussians_ply, write_gaussians_splat, write
 from splatcloud.renderer import write_ppm
 from splatcloud.types import PointCloud
 
-from conftest import random_records
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import SRC, random_records
 
 WRITERS = {
     "pointcloud.ply": lambda rng, path: write_pointcloud_ply(

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from splatcloud.config import FilterConfig
-from splatcloud.errors import DegenerateGaussianError, DomainError
+from splatcloud.errors import DomainError
 from splatcloud.scene import (
     ContributionState,
     activate,
-    build_covariance,
     cull_unrendered,
     filter_scene,
     quats_to_rotmats,
@@ -74,30 +73,31 @@ def test_activate_idempotent_normalisation(rng):
 # covariance
 
 
+def covariance_of(log_scale, rotation) -> np.ndarray:
+    return activate(make_record(log_scale=log_scale, rotation=rotation)).covariance[0]
+
+
 def test_identity_covariance():
-    cov = build_covariance(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+    cov = covariance_of(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
     np.testing.assert_allclose(cov, np.eye(3), atol=1e-7)
 
 
 def test_axis_scaling():
-    cov = build_covariance(np.array([np.log(2.0), 0.0, 0.0]),
-                           np.array([1.0, 0.0, 0.0, 0.0]))
+    cov = covariance_of(np.array([np.log(2.0), 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
     np.testing.assert_allclose(cov, np.diag([4.0, 1.0, 1.0]), atol=1e-7)
 
 
 def test_rotation_conjugation():
     # 90 degrees about z moves the long x axis onto y
     half = np.sqrt(0.5)
-    cov = build_covariance(np.array([np.log(2.0), 0.0, 0.0]),
-                           np.array([half, 0.0, 0.0, half]))
+    cov = covariance_of(np.array([np.log(2.0), 0.0, 0.0]), np.array([half, 0.0, 0.0, half]))
     np.testing.assert_allclose(cov, np.diag([1.0, 4.0, 1.0]), atol=1e-7)
 
 
 def test_degenerate_covariance_raises():
-    with pytest.raises(DegenerateGaussianError) as excinfo:
-        build_covariance(np.array([400.0, 400.0, 400.0]),
-                         np.array([1.0, 0.0, 0.0, 0.0]), index=17)
-    assert excinfo.value.index == 17
+    # one row whose epsilon ladder is exhausted leaves nothing to keep
+    with pytest.raises(DomainError, match="all gaussians were degenerate"):
+        activate(make_record(log_scale=np.array([400.0, 400.0, 400.0])))
 
 
 def test_eigenvalues_match_scales(rng):
@@ -106,7 +106,7 @@ def test_eigenvalues_match_scales(rng):
         log_scale = rng.uniform(-3, 1.5, 3)
         quat = rng.standard_normal(4)
         quat /= np.linalg.norm(quat)
-        cov = build_covariance(log_scale, quat)
+        cov = covariance_of(log_scale, quat)
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
         eigenvalues = np.sort(np.linalg.eigvalsh(cov))
         np.testing.assert_allclose(eigenvalues, np.sort(np.exp(2 * log_scale)),
