@@ -1,11 +1,10 @@
 """Command-line entry point.
 
 The flags, their config-file keys and their parsers come from the option
-fields of :class:`~splatcloud.config.PipelineConfig` and
-:class:`~splatcloud.config.FilterConfig`. Every flag also works as a
-``key=value`` line in a config file passed via ``--config``; explicit
-command-line values override the file. Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+fields of :class:`~splatcloud.config.PipelineConfig`, one flat set that
+holds every stage's options. Every flag also works as a ``key=value`` line
+in a config file passed via ``--config``; explicit command-line values
+override the file. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,27 +16,19 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .config import FilterConfig, PipelineConfig, option_flag, option_key, parse_bool
+from .config import PipelineConfig, option_flag, option_key, parse_bool
 from .errors import SplatCloudError, UsageError
 from .pipeline import run
 
 log = logging.getLogger(__name__)
 
 
-def _parse_bbox(text: str):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 6:
-        raise argparse.ArgumentTypeError(
-            "bbox must be minx,miny,minz,maxx,maxy,maxz")
-    return tuple(parts)
-
-
 # Options that are not config fields: config-file key -> parser.
-_COMMAND_OPTIONS = {"bbox": _parse_bbox, "stats_json": parse_bool, "verbose": parse_bool}
+_COMMAND_OPTIONS = {"stats_json": parse_bool, "verbose": parse_bool}
 
 
 def _option_fields():
-    return [f for cls in (PipelineConfig, FilterConfig) for f in fields(cls) if f.metadata]
+    return [f for f in fields(PipelineConfig) if f.metadata]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             parser.add_argument(option_flag(option_key(f)), dest=f.name, type=meta["parse"],
                                 metavar=meta["metavar"], help=help_text)
-    parser.add_argument("--bbox", type=_parse_bbox, metavar="X0,Y0,Z0,X1,Y1,Z1",
-                        help="keep only gaussians inside this box")
     parser.add_argument("--config", metavar="PATH",
                         help="key=value file providing defaults for any flag")
     parser.add_argument("--stats-json", action="store_true",
@@ -111,15 +100,10 @@ def _merged_options(argv) -> dict:
 
 def config_from_options(options: dict) -> PipelineConfig:
     """Build and validate the config from option values keyed by field name."""
-    options = dict(options)
     for f in _option_fields():
         if f.default is MISSING and f.name not in options:
             raise UsageError(f"missing {option_key(f)}: {f.metadata['help']}")
-    filters = {f.name: options.pop(f.name) for f in fields(FilterConfig) if f.name in options}
-    bbox = options.pop("bbox", None)
-    if bbox is not None:
-        filters.update(bbox_min=bbox[:3], bbox_max=bbox[3:])
-    config = PipelineConfig(**options, filters=FilterConfig(**filters))
+    config = PipelineConfig(**options)
     config.validate()
     return config
 

@@ -4,8 +4,8 @@ Each option is declared once, as a dataclass field made by :func:`option`.
 The field's metadata holds its help text, metavar, string parser and range
 check: ``splatcloud.cli`` builds its flags and config-file keys from them and
 :meth:`PipelineConfig.validate` runs the checks. :class:`PipelineConfig`
-inherits every stage config's fields, so it is accepted wherever a stage
-config is.
+inherits every stage config's fields (filters included), so it is one flat
+set of options and is accepted wherever a stage config is.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from argparse import ArgumentTypeError
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
@@ -22,6 +23,19 @@ from .errors import UsageError
 def resolve_workers(threads: int) -> int:
     """Worker count for a ``--threads`` value: 0 means one per CPU."""
     return threads if threads > 0 else (os.cpu_count() or 1)
+
+
+def map_threads(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``--threads`` workers.
+
+    Runs serially when there is one worker or at most one item. The results
+    are in the order of ``items`` either way.
+    """
+    workers = resolve_workers(threads)
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def parse_bool(text: str) -> bool:
@@ -42,6 +56,14 @@ def _parse_background(text: str) -> tuple[float, float, float]:
     if not all(0 <= v <= 255 for v in values):
         raise ArgumentTypeError("background channels must be within 0-255")
     return tuple(v / 255.0 for v in values)
+
+
+def _parse_bbox(text: str) -> tuple[float, ...]:
+    """``X0,Y0,Z0,X1,Y1,Z1``: the min corner, then the max corner."""
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) != 6:
+        raise ArgumentTypeError("bbox must be minx,miny,minz,maxx,maxy,maxz")
+    return tuple(parts)
 
 
 def option(default=MISSING, help="", metavar=None, *, parse=None, check=None, key=None):
@@ -91,19 +113,17 @@ def _threads():
 class FilterConfig:
     """Optional pre-sampling scene filters; ``None`` disables a filter."""
 
-    bbox_min: tuple[float, float, float] | None = None
-    bbox_max: tuple[float, float, float] | None = None
+    bbox: tuple[float, float, float, float, float, float] | None = option(
+        None, "keep only gaussians inside this box", "X0,Y0,Z0,X1,Y1,Z1", parse=_parse_bbox,
+        check=((lambda b: all(math.isfinite(v) for v in b)), "values must be finite"))
     max_scale: float | None = option(
         None, "drop gaussians whose largest linear scale exceeds S", "S", parse=float,
         check=_above(0))
     min_opacity: float | None = option(
         None, "drop gaussians with opacity below O", "O", parse=float, check=_within(0, 1))
 
-    def any_enabled(self) -> bool:
-        return any(
-            v is not None
-            for v in (self.bbox_min, self.bbox_max, self.max_scale, self.min_opacity)
-        )
+    def filters_enabled(self) -> bool:
+        return any(getattr(self, f.name) is not None for f in fields(FilterConfig))
 
 
 @dataclass
@@ -113,10 +133,6 @@ class RenderConfig:
         check=((lambda v: 0.0 < v <= 1.0), "must be in (0, 1]"))
     skip_cameras: int = option(
         0, "skip every K-th camera (0 or 1 = keep all)", "K", check=_at_least(0))
-    tile_size: int = 64
-    tile_budget: int = option(
-        2**24, "max gaussian-pixel overlaps per tile (default {default})", "N",
-        check=_at_least(1))
     background: tuple[float, float, float] = option(
         (0.0, 0.0, 0.0), "background colour 0-255 per channel (default black)", "R,G,B",
         parse=_parse_background,
@@ -138,7 +154,9 @@ class SamplerConfig:
 
 
 @dataclass
-class SurfaceConfig:
+class SurfaceConfig(SamplerConfig):
+    """Surface sampling draws like the main sampler, with its own budget."""
+
     surface_points: int = option(
         5_000_000, "surface cloud point budget (default {default})", "N", check=_at_least(1))
     sor_k: int = option(
@@ -149,7 +167,7 @@ class SurfaceConfig:
 
 
 @dataclass(kw_only=True)
-class PipelineConfig(SurfaceConfig, RenderConfig, SamplerConfig):
+class PipelineConfig(FilterConfig, SurfaceConfig, RenderConfig):
     """Everything the end-to-end pipeline needs; its options are the CLI flags."""
 
     input_gaussians: Path = option(
@@ -160,20 +178,15 @@ class PipelineConfig(SurfaceConfig, RenderConfig, SamplerConfig):
         parse=Path, key="cameras")
     num_points: int = option(
         10_000_000, "total points to sample (default {default})", "N", check=_at_least(1))
-    filters: FilterConfig = field(default_factory=FilterConfig)
     mesh_prep: bool = option(False, "also export an oriented surface cloud (_surface.ply)")
 
     def validate(self):
         """Raise :class:`UsageError` naming the flag of the first option out of range."""
-        for config in (self, self.filters):
-            for f in fields(config):
-                check = f.metadata.get("check")
-                value = getattr(config, f.name)
-                off = value is None and f.default is None  # e.g. a filter left off
-                if check is not None and not off and not check[0](value):
-                    raise UsageError(f"{option_flag(option_key(f))} {check[1]}, got {value}")
-        for corner in (self.filters.bbox_min, self.filters.bbox_max):
-            if corner is not None and not all(math.isfinite(v) for v in corner):
-                raise UsageError(f"--bbox values must be finite, got {corner}")
+        for f in fields(self):
+            check = f.metadata.get("check")
+            value = getattr(self, f.name)
+            off = value is None and f.default is None  # e.g. a filter left off
+            if check is not None and not off and not check[0](value):
+                raise UsageError(f"{option_flag(option_key(f))} {check[1]}, got {value}")
         if self.mesh_prep and self.input_cameras is None:
             raise UsageError("--mesh-prep requires camera poses (--cameras)")

@@ -180,8 +180,13 @@ def load_cameras_colmap(directory) -> list[CameraPose]:
                 f"image '{image.name}' references missing camera_id {image.camera_id}"
             )
         fx, fy, cx, cy = _intrinsics(camera)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(image.qvec)
+        if not (np.isfinite(norm) and norm > 0):
+            raise FileFormatError(
+                f"image '{image.name}': qvec {tuple(image.qvec)} must be finite and non-zero")
         world_to_camera = np.eye(4)
-        world_to_camera[:3, :3] = quats_to_rotmats(image.qvec / np.linalg.norm(image.qvec))
+        world_to_camera[:3, :3] = quats_to_rotmats(image.qvec / norm)
         world_to_camera[:3, 3] = image.tvec
         poses.append(CameraPose(
             image_id=image.image_id,

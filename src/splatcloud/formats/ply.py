@@ -246,32 +246,17 @@ def write_pointcloud_ply(cloud: PointCloud, path) -> None:
 
 def read_pointcloud_ply(path) -> PointCloud:
     """Read back a point cloud written by :func:`write_pointcloud_ply`."""
-    path = Path(path)
-    data = path.read_bytes()
-    fmt, elements, offset = _parse_header(data, path)
-    vertex = next((e for e in elements if e.name == "vertex"), None)
-    if vertex is None:
-        raise FileFormatError(f"{path}: no vertex element")
-    if fmt != "binary":
-        raise FileFormatError(f"{path}: point cloud PLY must be binary little-endian")
-    dtype = np.dtype([(n, _SCALAR_TYPES[t][0]) for n, t in vertex.properties])
-    needed = vertex.count * dtype.itemsize
-    if len(data) - offset < needed:
-        raise TruncatedFileError(
-            f"{path}: vertex data needs {needed} bytes from offset {offset}",
-            byte_offset=len(data),
-        )
-    table = np.frombuffer(data, dtype=dtype, count=vertex.count, offset=offset)
-    names = {n for n, _ in vertex.properties}
+    _, cols = _read_vertex_table(path)
     for required in ("x", "y", "z", "red", "green", "blue"):
-        if required not in names:
+        if required not in cols:
             raise FileFormatError(f"{path}: missing property: {required}")
-    points = np.stack([table["x"], table["y"], table["z"]], axis=1)
-    colours = np.stack([table["red"], table["green"], table["blue"]], axis=1)
-    normals = None
-    if {"nx", "ny", "nz"} <= names:
-        normals = np.stack([table["nx"], table["ny"], table["nz"]], axis=1)
-    return PointCloud(points=points, colours=colours, normals=normals)
+
+    def stack(names):
+        return np.stack([cols[n] for n in names], axis=1)
+
+    normals = stack(["nx", "ny", "nz"]) if {"nx", "ny", "nz"} <= cols.keys() else None
+    return PointCloud(points=stack(["x", "y", "z"]), colours=stack(["red", "green", "blue"]),
+                      normals=normals)
 
 
 def write_gaussians_ply(raw: RawGaussians, path, binary: bool = True) -> None:

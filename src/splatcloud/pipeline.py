@@ -153,8 +153,8 @@ def run(config: PipelineConfig) -> PipelineStats:
         scene = clock.run("activate", lambda: activate(raw))
         del raw  # the scene keeps what it needs; free the other columns before sampling
 
-        if config.filters.any_enabled():
-            scene = clock.run("filter", lambda s=scene: filter_scene(s, config.filters))
+        if config.filters_enabled():
+            scene = clock.run("filter", lambda s=scene: filter_scene(s, config))
             log.info("filters retained %d of %d gaussians", scene.count, stats.gaussians_loaded)
         stats.gaussians_after_filters = scene.count
 
@@ -183,7 +183,7 @@ def run(config: PipelineConfig) -> PipelineStats:
 
         if config.mesh_prep:
             def surface(s=scene):
-                return export_surface_cloud(s, config, config)
+                return export_surface_cloud(s, config)
             surface_cloud, stats.surface_points = clock.run("surface", surface)
             stats.surface_points_after_cleanup = len(surface_cloud)
             spath = surface_output_path(output)

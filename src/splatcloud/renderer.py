@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import RenderConfig, resolve_workers
+from .config import RenderConfig, map_threads
 from .errors import DomainError
 from .formats import atomic_write
 from .sampler import quantize_colours
@@ -42,6 +41,15 @@ COV2D_LOWPASS = 0.3
 # one step. Pairs at pixels terminated by an earlier run are dropped, so
 # shorter runs skip more work at a higher per-step overhead.
 _CHUNK_PAIRS = 1 << 16
+
+# Side of the base tile grid, in pixels.
+TILE_SIZE = 64
+# Largest members x pixels product of one tile; a tile over it is split into
+# quadrants. The split changes no byte; it bounds the (depth + 1) x
+# active-pixels cumprod grid that composite_tile builds per run, where one
+# pixel can be up to _CHUNK_PAIRS deep. Without it one 64x64 tile can build a
+# grid of about 2 GB.
+TILE_BUDGET = 1 << 24
 
 
 @dataclass
@@ -181,24 +189,22 @@ def project(scene: GaussianScene, pose: CameraPose) -> ProjectedGaussians:
 
 
 def tile_scene(projected: ProjectedGaussians, width: int, height: int,
-               budget: int, tile_size: int = 64) -> list[Tile]:
+               budget: int, tile_size: int = TILE_SIZE) -> list[Tile]:
     """Partition the image into tiles whose gaussians x pixels fit the budget.
 
     Starts from a regular ``tile_size`` grid; any tile over budget is split
     into four quadrants recursively until the product fits or the tile is a
-    single pixel. Member lists stay sorted front to back.
+    single pixel. Member lists keep the projection's row order, which
+    :func:`project` makes front to back.
     """
     if budget < 1:
         raise DomainError(f"tile budget must be positive, got {budget}")
     tiles_x = (width + tile_size - 1) // tile_size
     tiles_y = (height + tile_size - 1) // tile_size
 
-    # (row, tile) incidence pairs, ordered by (tile, depth, gaussian_index)
+    # (row, tile) incidence pairs, ordered by (tile, row)
     bbox = projected.bbox
     if len(projected):
-        depth_rank = np.empty(len(projected), dtype=np.int64)
-        depth_rank[np.lexsort((projected.gaussian_index, projected.depth))] = \
-            np.arange(len(projected))
         tx0 = bbox[:, 0] // tile_size
         ty0 = bbox[:, 1] // tile_size
         tx1 = (bbox[:, 2] - 1) // tile_size
@@ -211,7 +217,7 @@ def tile_scene(projected: ProjectedGaussians, width: int, height: int,
         local_x = offset % np.repeat(spans_x, counts)
         local_y = offset // np.repeat(spans_x, counts)
         tile_key = (np.repeat(ty0, counts) + local_y) * tiles_x + np.repeat(tx0, counts) + local_x
-        order = np.lexsort((depth_rank[row_of_pair], tile_key))
+        order = np.argsort(tile_key, kind="stable")  # row_of_pair is ascending
         tile_key = tile_key[order]
         row_of_pair = row_of_pair[order]
         boundaries = np.searchsorted(tile_key, np.arange(tiles_x * tiles_y + 1))
@@ -404,8 +410,7 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
     stats = RenderStats(images_rendered=1)
     projected = project(scene, pose)
 
-    tiles = tile_scene(projected, pose.width, pose.height,
-                       config.tile_budget, config.tile_size)
+    tiles = tile_scene(projected, pose.width, pose.height, TILE_BUDGET, TILE_SIZE)
     stats.tiles = len(tiles)
     stats.tiles_subdivided = sum(1 for t in tiles if t.level > 0)
     stats.max_tile_product = max((t.product for t in tiles), default=0)
@@ -415,12 +420,7 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
     def run_tile(tile: Tile) -> TileComposite:
         return composite_tile(tile, projected, scene, buffers, background=config.background)
 
-    workers = resolve_workers(config.threads)
-    if workers > 1 and len(tiles) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_tile, tiles))
-    else:
-        results = [run_tile(tile) for tile in tiles]
+    results = map_threads(run_tile, tiles, config.threads)
 
     stats.pixels_terminated = int(np.count_nonzero(buffers.terminated))
     for piece in results:

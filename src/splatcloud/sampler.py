@@ -8,12 +8,11 @@ count), so results do not depend on worker count or batch execution order.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SamplerConfig, resolve_workers
+from .config import SamplerConfig, map_threads
 from .errors import DomainError
 from .scene import GaussianScene
 from .types import PointCloud
@@ -177,12 +176,7 @@ def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
     def run(batch: SampleBatch):
         return sample_batch(batch, scene, config.sigma, config.max_resample_rounds)
 
-    workers = resolve_workers(config.threads)
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, batches))
-    else:
-        results = [run(batch) for batch in batches]
+    results = map_threads(run, batches, config.threads)
 
     stats = SampleStats(requested=total, allocated=int(counts.sum()))
     if not results:

@@ -250,17 +250,16 @@ def activate(raw: RawGaussians) -> GaussianScene:
     )
 
 
-def filter_scene(scene: GaussianScene, filters: FilterConfig) -> GaussianScene:
+def filter_scene(scene: GaussianScene, config: FilterConfig) -> GaussianScene:
     """Keep Gaussians passing every enabled predicate, preserving order."""
     keep = np.ones(scene.count, dtype=bool)
-    if filters.bbox_min is not None:
-        keep &= np.all(scene.position >= np.asarray(filters.bbox_min), axis=1)
-    if filters.bbox_max is not None:
-        keep &= np.all(scene.position <= np.asarray(filters.bbox_max), axis=1)
-    if filters.max_scale is not None:
-        keep &= np.exp(scene.log_scale).max(axis=1) <= filters.max_scale
-    if filters.min_opacity is not None:
-        keep &= scene.opacity >= filters.min_opacity
+    if config.bbox is not None:
+        lo, hi = np.asarray(config.bbox[:3]), np.asarray(config.bbox[3:])
+        keep &= np.all((scene.position >= lo) & (scene.position <= hi), axis=1)
+    if config.max_scale is not None:
+        keep &= np.exp(scene.log_scale).max(axis=1) <= config.max_scale
+    if config.min_opacity is not None:
+        keep &= scene.opacity >= config.min_opacity
     if not np.any(keep):
         raise DomainError("empty scene after filtering")
     if np.all(keep):

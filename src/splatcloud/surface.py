@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SamplerConfig, SurfaceConfig, resolve_workers
+from .config import SurfaceConfig, resolve_workers
 from .errors import DomainError
 from .sampler import SampleStats, _sample_scene
 from .scene import GaussianScene, quats_to_rotmats
@@ -97,8 +97,8 @@ def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
     return cloud.take(keep)
 
 
-def export_surface_cloud(scene: GaussianScene, sampler_config: SamplerConfig,
-                         surface_config: SurfaceConfig) -> tuple[PointCloud, SampleStats]:
+def export_surface_cloud(scene: GaussianScene,
+                         config: SurfaceConfig) -> tuple[PointCloud, SampleStats]:
     """Sample an oriented point cloud from the surface Gaussians.
 
     Selection -> allocation of ``surface_points`` across the selected subset
@@ -112,12 +112,12 @@ def export_surface_cloud(scene: GaussianScene, sampler_config: SamplerConfig,
              subset.count, scene.count, selection.mean_contribution)
 
     points, colours, gaussian_ids, stats = _sample_scene(
-        subset, surface_config.surface_points, sampler_config)
+        subset, config.surface_points, config)
     cloud = PointCloud(
         points=points.astype(np.float32),
         colours=colours,
         normals=normals[gaussian_ids].astype(np.float32),
     )
-    cloud = remove_statistical_outliers(cloud, surface_config.sor_k, surface_config.sor_std,
-                                        workers=resolve_workers(sampler_config.threads))
+    cloud = remove_statistical_outliers(cloud, config.sor_k, config.sor_std,
+                                        workers=resolve_workers(config.threads))
     return cloud, stats

@@ -101,6 +101,9 @@ class CameraPose:
         if m.shape != (4, 4):
             raise DomainError(f"world_to_camera must be 4x4, got {m.shape}")
         object.__setattr__(self, "world_to_camera", m)
+        if not (np.isfinite([self.fx, self.fy, self.cx, self.cy]).all() and np.isfinite(m).all()):
+            raise DomainError(
+                f"pose {self.image_id}: intrinsics and world_to_camera must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise DomainError(f"focal lengths must be positive (fx={self.fx}, fy={self.fy})")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):

@@ -17,8 +17,8 @@ from reference import (
     merge_best,
     sor_reference,
 )
+from splatcloud import renderer
 from splatcloud.config import (
-    FilterConfig,
     PipelineConfig,
     RenderConfig,
     SamplerConfig,
@@ -85,7 +85,9 @@ def test_01_compositing_conservation():
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
 
 
-def test_02_tiled_equals_bruteforce():
+def test_02_tiled_equals_bruteforce(monkeypatch):
+    monkeypatch.setattr(renderer, "TILE_BUDGET", 600)
+    monkeypatch.setattr(renderer, "TILE_SIZE", 16)
     with criterion(2, "tiled rendering matches the untiled sequential oracle"):
         rng = np.random.default_rng(202)
         started = time.perf_counter()
@@ -94,7 +96,7 @@ def test_02_tiled_equals_bruteforce():
                                  opacity_logit_range=(-1.0, 5.0))
             pose = frontal_pose(width=48, height=40, focal=42.0,
                                 centre_offset=(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-            config = RenderConfig(tile_budget=600, tile_size=16, threads=1)
+            config = RenderConfig(threads=1)
 
             state = ContributionState.initial(scene.count, config.background)
             buffers, stats = render_image(scene, pose, config, 0, state)
@@ -301,9 +303,8 @@ def test_09_surface_pipeline():
         scene = activate(wall_records(rng, nx=7, ny=7, jitter_deg=1.5))
         pose = frontal_pose(width=72, height=72, focal=60.0, distance=5.0)
         render_all(scene, [pose], RenderConfig(threads=1))
-        cloud, _ = export_surface_cloud(
-            scene, SamplerConfig(sigma=2.0, seed=9, threads=1),
-            SurfaceConfig(surface_points=6000, sor_k=12, sor_std=2.0))
+        cloud, _ = export_surface_cloud(scene, SurfaceConfig(
+            sigma=2.0, seed=9, threads=1, surface_points=6000, sor_k=12, sor_std=2.0))
         cosines = cloud.normals @ np.array([0.0, 0.0, -1.0], dtype=np.float32)
         fraction = np.mean(cosines >= np.cos(np.deg2rad(5.0)))
         assert fraction >= 0.99, f"only {fraction:.3f} of normals within 5 degrees"
@@ -349,7 +350,6 @@ def test_10_end_to_end_determinism(tmp_path):
                 mesh_prep=True,
                 surface_points=50_000,
                 sor_k=10,
-                filters=FilterConfig(),
             )
             run(config)
             outputs.append((tmp_path / name).read_bytes())
@@ -372,10 +372,10 @@ def test_11_performance_sanity():
         started = time.perf_counter()
         stats = render_all(scene, [pose], config)
         elapsed = time.perf_counter() - started
-        assert stats.max_tile_product <= config.tile_budget
+        assert stats.max_tile_product <= renderer.TILE_BUDGET
         assert stats.tiles_subdivided == 0
 
-        lowered = config.tile_budget // 100
+        lowered = renderer.TILE_BUDGET // 100
         projected = project(scene, pose)
         tiles = tile_scene(projected, pose.width, pose.height, lowered)
         subdivided = sum(1 for t in tiles if t.level > 0)

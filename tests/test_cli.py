@@ -15,7 +15,7 @@ from splatcloud.formats import read_pointcloud_ply, write_gaussians_ply
 from splatcloud.pipeline import detect_format, surface_output_path
 from splatcloud.scene import activate
 
-from conftest import SRC, random_records, write_colmap_bin
+from conftest import SRC, random_records, write_colmap_bin, write_colmap_txt
 
 
 @pytest.fixture
@@ -187,6 +187,33 @@ def test_non_finite_gaussians_never_reach_the_output(tmp_path, rng):
     cloud = read_pointcloud_ply(out)
     assert len(cloud) > 0
     assert np.isfinite(cloud.points).all()
+
+
+@pytest.mark.parametrize("broken, named", [
+    ({"tvec": (0.0, float("nan"), 5.0)}, "pose 2"),
+    ({"params": (float("inf"), 60.0, 32.0, 32.0)}, "pose 1"),
+    ({"qvec": (0.0, 0.0, 0.0, 0.0)}, "image 'front.png'"),
+], ids=["nan-tvec", "inf-fx", "zero-qvec"])
+def test_non_finite_camera_fails_at_load(tmp_path, scene_ply, capsys, broken, named):
+    camera = {"id": 1, "model": "PINHOLE", "width": 64, "height": 64,
+              "params": (60.0, 60.0, 32.0, 32.0)}
+    images = [
+        {"id": 1, "qvec": (1.0, 0.0, 0.0, 0.0), "tvec": (0.0, 0.0, 5.0),
+         "camera_id": 1, "name": "front.png"},
+        {"id": 2, "qvec": (1.0, 0.0, 0.0, 0.0), "tvec": (0.0, 0.0, 6.0),
+         "camera_id": 1, "name": "side.png"},
+    ]
+    if "params" in broken:
+        camera.update(broken)
+    else:
+        images[0 if "qvec" in broken else 1].update(broken)
+    write_colmap_txt(tmp_path / "sparse", [camera], images)
+    out = tmp_path / "cloud.ply"
+    assert main([str(scene_ply), str(out), "--cameras", str(tmp_path / "sparse"),
+                 "--num-points", "200", "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "[load-cameras]" in err and named in err
+    assert not out.exists()
 
 
 def test_mesh_prep_without_cameras_fails_and_cleans_up(tmp_path, scene_ply):

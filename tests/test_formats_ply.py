@@ -300,3 +300,19 @@ def test_positions_bit_exact(tmp_path, rng):
     write_pointcloud_ply(cloud, path)
     again = read_pointcloud_ply(path)
     assert again.points.tobytes() == values.tobytes()
+
+
+def test_ascii_point_cloud_reads_like_binary(tmp_path, rng):
+    cloud = PointCloud(points=rng.standard_normal((5, 3)).astype(np.float32),
+                       colours=rng.integers(0, 256, (5, 3), dtype=np.uint8))
+    binary = tmp_path / "binary.ply"
+    write_pointcloud_ply(cloud, binary)
+    header = binary.read_bytes().split(b"end_header\n")[0].decode()
+    rows = "\n".join(" ".join([*(repr(float(v)) for v in p), *(str(c) for c in col)])
+                     for p, col in zip(cloud.points, cloud.colours))
+    text = tmp_path / "text.ply"
+    text.write_text(header.replace("binary_little_endian", "ascii") + "end_header\n"
+                    + rows + "\n")
+    again = read_pointcloud_ply(text)
+    assert again.points.tobytes() == read_pointcloud_ply(binary).points.tobytes()
+    np.testing.assert_array_equal(again.colours, cloud.colours)

@@ -8,17 +8,19 @@ from pathlib import Path
 import pytest
 
 from splatcloud import cli
-from splatcloud.config import FilterConfig, PipelineConfig, option_flag, option_key
+from splatcloud.config import PipelineConfig, option_flag, option_key
 from splatcloud.errors import UsageError
 from splatcloud.pipeline import PipelineStats
 from splatcloud.renderer import RenderStats
 from splatcloud.sampler import SampleStats
 
+from conftest import SRC
+
 # Every flag and its metavar as `--help` lists them ("" for a bare flag).
 HELP_FLAGS = {
     "-h": "", "--cameras": "PATH", "--num-points": "N", "--sigma": "S", "--exact": "",
     "--max-resample-rounds": "N", "--seed": "SEED", "--render-scale": "F",
-    "--skip-cameras": "K", "--tile-budget": "N", "--background": "R,G,B",
+    "--skip-cameras": "K", "--background": "R,G,B",
     "--save-renders": "DIR", "--bbox": "X0,Y0,Z0,X1,Y1,Z1", "--max-scale": "S",
     "--min-opacity": "O", "--mesh-prep": "", "--surface-points": "N", "--sor-k": "K",
     "--sor-std": "R", "--threads": "N", "--config": "PATH", "--stats-json": "",
@@ -30,7 +32,7 @@ HELP_FLAGS = {
 OPTION_VALUES = {
     "cameras": "sparse/0", "num-points": "1234", "sigma": "2.5", "exact": None,
     "max-resample-rounds": "3", "seed": "9", "render-scale": "0.5", "skip-cameras": "2",
-    "tile-budget": "1000", "background": "10,20,30", "save-renders": "renders",
+    "background": "10,20,30", "save-renders": "renders",
     "bbox": "-1,-2,-3,1,2,3", "max-scale": "0.3", "min-opacity": "0.1", "mesh-prep": None,
     "surface-points": "77", "sor-k": "7", "sor-std": "1.5", "threads": "3",
 }
@@ -38,8 +40,7 @@ OPTION_VALUES = {
 # Other flags an option is only valid with.
 REQUIRED_WITH = {"mesh-prep": ["--cameras", "sparse/0"]}
 
-CHECKED = [f for cls in (PipelineConfig, FilterConfig) for f in fields(cls)
-           if f.metadata.get("check")]
+CHECKED = [f for f in fields(PipelineConfig) if f.metadata.get("check")]
 
 
 def flag_of(f):
@@ -51,7 +52,6 @@ OUT_OF_RANGE = {
     "--render-scale": ("1.5", "--render-scale must be in (0, 1], got 1.5"),
     "--sigma": ("0", "--sigma must be > 0, got 0.0"),
     "--max-resample-rounds": ("0", "--max-resample-rounds must be >= 1, got 0"),
-    "--tile-budget": ("0", "--tile-budget must be >= 1, got 0"),
     "--skip-cameras": ("-1", "--skip-cameras must be >= 0, got -1"),
     "--surface-points": ("0", "--surface-points must be >= 1, got 0"),
     "--sor-k": ("0", "--sor-k must be >= 1, got 0"),
@@ -60,9 +60,11 @@ OUT_OF_RANGE = {
     "--background": ("256,0,0", "background channels must be within 0-255"),
     "--max-scale": ("0", "--max-scale must be > 0, got 0.0"),
     "--min-opacity": ("1.5", "--min-opacity must be within 0..1, got 1.5"),
+    "--bbox": ("0,0,0,1,1,inf",
+               "--bbox values must be finite, got (0.0, 0.0, 0.0, 1.0, 1.0, inf)"),
 }
 
-# NaN as each checked flag and --bbox take it.
+# NaN as written for the checked flags that take several numbers.
 NAN_TEXT = {"--background": "nan,nan,nan", "--bbox": "nan,0,0,1,1,1"}
 
 
@@ -92,6 +94,16 @@ def test_help_lists_the_same_flags_and_metavars():
     listed = dict(re.findall(r"\[(-[\w-]+)(?: ([^\]\s]+))?\]", usage))
     assert listed == HELP_FLAGS
     assert usage.rstrip().endswith("[input] [output]")
+
+
+def test_readme_options_block_lists_the_parser_flags():
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("Options (`splatcloud --help` prints the same list):")[1]
+    block = block.split("```")[1]
+    listed = re.findall(r"^(--[\w-]+)", block, re.MULTILINE)
+    parser_flags = [s for action in cli.build_parser()._actions
+                    for s in action.option_strings if s.startswith("--")]
+    assert sorted(listed) == sorted(parser_flags)
 
 
 def test_every_option_has_a_test_value():
@@ -130,7 +142,7 @@ def test_positionals_as_config_file_keys(tmp_path, captured_config):
 def test_bbox_splits_into_filter_corners(captured_config):
     assert cli.main(["scene.ply", "cloud.ply", "--bbox=-1,-2,-3,1,2,3"]) == 0
     (config,) = captured_config
-    assert config.filters == FilterConfig(bbox_min=(-1.0, -2.0, -3.0), bbox_max=(1.0, 2.0, 3.0))
+    assert config.bbox == (-1.0, -2.0, -3.0, 1.0, 2.0, 3.0)
 
 
 def test_checked_options_include_sigma_and_sor_std():
@@ -138,7 +150,7 @@ def test_checked_options_include_sigma_and_sor_std():
     assert {flag_of(f) for f in CHECKED} == set(OUT_OF_RANGE)
 
 
-@pytest.mark.parametrize("flag", [flag_of(f) for f in CHECKED] + ["--bbox"])
+@pytest.mark.parametrize("flag", [flag_of(f) for f in CHECKED])
 def test_nan_is_rejected_as_flag_and_config_line(tmp_path, capsys, captured_config, flag):
     nan = NAN_TEXT.get(flag, "nan")
     assert exit_code(["scene.ply", "cloud.ply", flag, nan]) == 2
@@ -165,12 +177,11 @@ def test_out_of_range_value_keeps_its_message(capsys, captured_config, flag):
     ({"num_points": math.nan}, "--num-points must be >= 1, got nan"),
     ({"background": (0.0, 2.0, 0.0)}, "--background channels must be within 0..1"),
     ({"background": (math.nan, 0.0, 0.0)}, "--background channels must be within 0..1"),
-    ({"filters": FilterConfig(max_scale=math.nan)}, "--max-scale must be > 0, got nan"),
-    ({"filters": FilterConfig(min_opacity=math.nan)}, "--min-opacity must be within 0..1"),
+    ({"max_scale": math.nan}, "--max-scale must be > 0, got nan"),
+    ({"min_opacity": math.nan}, "--min-opacity must be within 0..1"),
     ({"mesh_prep": True}, "--mesh-prep requires camera poses"),
-    ({"filters": FilterConfig(bbox_min=(math.nan, 0.0, 0.0), bbox_max=(1.0, 1.0, 1.0))},
-     "--bbox values must be finite"),
-    ({"filters": FilterConfig(bbox_max=(1.0, math.inf, 1.0))}, "--bbox values must be finite"),
+    ({"bbox": (math.nan, 0.0, 0.0, 1.0, 1.0, 1.0)}, "--bbox values must be finite"),
+    ({"bbox": (0.0, 0.0, 0.0, 1.0, math.inf, 1.0)}, "--bbox values must be finite"),
 ])
 def test_python_api_validation(override, message):
     config = PipelineConfig(input_gaussians="scene.ply", output="cloud.ply", **override)

@@ -63,6 +63,9 @@ def test_failed_write_keeps_the_previous_file(tmp_path, rng, monkeypatch, name):
 
 
 def test_killed_writer_leaves_no_file(tmp_path):
+    # Only its own temporary is left, under the name the README gives; nothing
+    # sweeps it, since a pid cannot tell a dead writer from a live one in
+    # another pid namespace that shares the directory.
     path = tmp_path / "cloud.ply"
     script = textwrap.dedent("""
         import builtins, os, signal, sys
@@ -93,6 +96,7 @@ def test_killed_writer_leaves_no_file(tmp_path):
                              sys.argv[1])
     """)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, timeout=60)
-    assert done.returncode == -signal.SIGKILL
+    child = subprocess.Popen([sys.executable, "-c", script, str(path)], env=env)
+    assert child.wait(timeout=60) == -signal.SIGKILL
     assert not path.exists()
+    assert [p.name for p in tmp_path.iterdir()] == [f".cloud.ply.{child.pid}.tmp"]

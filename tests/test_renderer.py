@@ -112,9 +112,13 @@ def test_far_offscreen_excluded(rng):
 
 def test_projection_sorted_by_depth(rng):
     scene = random_scene(rng, 40, spread=1.5)
+    # row 40 copies row 7: an equal-depth pair that must come out in index order
+    scene = scene.take(np.r_[np.arange(40), 7])
     pose = frontal_pose(width=128, height=128, focal=80.0)
     projected = project(scene, pose)
     assert np.all(np.diff(projected.depth) >= 0)
+    order = list(projected.gaussian_index)
+    assert order.index(7) + 1 == order.index(40)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +176,26 @@ def test_gaussian_outside_every_tile():
 
 
 def test_tile_members_sorted_by_depth_then_index():
+    # rows in projection order: by depth, then gaussian index
     projected = synthetic_projection(
         3,
         [[8.0, 8.0]] * 3,
-        [2.0, 1.0, 1.0],
+        [1.0, 1.0, 2.0],
         [0.5] * 3,
         [[0, 0, 16, 16]] * 3,
     )
+    projected.gaussian_index = np.array([1, 2, 0])
     tiles = tile_scene(projected, 16, 16, budget=10**9)
     (tile,) = tiles
     depths = projected.depth[tile.members]
     assert np.all(np.diff(depths) >= 0)
-    # rows 1 and 2 share a depth; row order must break the tie
-    assert list(tile.members) == [1, 2, 0]
+    # gaussians 1 and 2 share a depth; the tile keeps the projection's order
+    assert list(tile.members) == [0, 1, 2]
+    assert list(projected.gaussian_index[tile.members]) == [1, 2, 0]
+
+    # split tiles keep that order too
+    for tile in tile_scene(projected, 16, 16, budget=64):
+        assert list(tile.members) == [0, 1, 2]
 
 
 def test_subdivision_stops_at_single_pixel():
@@ -292,10 +303,12 @@ def test_render_matches_sequential_reference(rng):
         assert_matches_reference(scene, pose)
 
 
-def test_render_matches_reference_with_subdivision(rng):
+def test_render_matches_reference_with_subdivision(rng, monkeypatch):
     scene = random_scene(rng, 15, spread=1.0)
     pose = frontal_pose(width=48, height=48, focal=45.0)
-    assert_matches_reference(scene, pose, RenderConfig(tile_budget=800, threads=1))
+    monkeypatch.setattr(renderer, "TILE_BUDGET", 800)
+    _, stats = assert_matches_reference(scene, pose, RenderConfig(threads=1))
+    assert stats.tiles_subdivided > 0
 
 
 def test_render_matches_reference_with_early_termination(rng):
@@ -393,20 +406,21 @@ def test_unseen_gaussian_keeps_background_colour(rng):
     assert scene.contribution.best_contribution[0] > 0.0
 
 
-def test_subdivided_equals_giant_tile(rng):
+def test_subdivided_equals_giant_tile(rng, monkeypatch):
     scene = random_scene(rng, 16, spread=1.0)
     pose = frontal_pose(width=56, height=48, focal=48.0)
 
     state_a = ContributionState.initial(scene.count, (0, 0, 0))
-    buffers_a, stats_a = render_image(
-        scene, pose, RenderConfig(tile_budget=700, threads=1), 0, state_a)
+    monkeypatch.setattr(renderer, "TILE_BUDGET", 700)
+    buffers_a, stats_a = render_image(scene, pose, RenderConfig(threads=1), 0, state_a)
     assert stats_a.tiles_subdivided > 0
     best_a = (state_a.best_contribution.copy(), state_a.best_pixel_index.copy(),
               state_a.best_colour.copy())
 
     state_b = ContributionState.initial(scene.count, (0, 0, 0))
-    buffers_b, stats_b = render_image(
-        scene, pose, RenderConfig(tile_budget=2**40, tile_size=4096, threads=1), 0, state_b)
+    monkeypatch.setattr(renderer, "TILE_BUDGET", 2**40)
+    monkeypatch.setattr(renderer, "TILE_SIZE", 4096)
+    buffers_b, stats_b = render_image(scene, pose, RenderConfig(threads=1), 0, state_b)
     assert stats_b.tiles == 1
 
     assert buffers_a.image.tobytes() == buffers_b.image.tobytes()
@@ -415,13 +429,14 @@ def test_subdivided_equals_giant_tile(rng):
     assert best_a[2].tobytes() == state_b.best_colour.tobytes()
 
 
-def test_rendering_deterministic_across_threads(rng):
+def test_rendering_deterministic_across_threads(rng, monkeypatch):
+    monkeypatch.setattr(renderer, "TILE_SIZE", 16)
     scene = random_scene(rng, 30, spread=1.2)
     poses = [orbit_pose(i, a, width=72, height=60, focal=60.0)
              for i, a in enumerate([0.0, 1.3])]
 
     def run(threads):
-        render_all(scene, poses, RenderConfig(threads=threads, tile_size=16))
+        render_all(scene, poses, RenderConfig(threads=threads))
         state = scene.contribution
         return (state.best_contribution.copy(), state.best_colour.copy(),
                 state.best_pixel_index.copy())

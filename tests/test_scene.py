@@ -143,7 +143,7 @@ def test_quats_to_rotmats_orthonormal(rng):
 def test_bbox_removes_outside():
     scene = activate(concat(make_record(position=np.array([10.0, 0.0, 0.0])),
                             make_record(position=np.zeros(3))))
-    filtered = filter_scene(scene, FilterConfig(bbox_min=(-5, -5, -5), bbox_max=(5, 5, 5)))
+    filtered = filter_scene(scene, FilterConfig(bbox=(-5, -5, -5, 5, 5, 5)))
     assert filtered.count == 1
     np.testing.assert_array_equal(filtered.position[0], [0, 0, 0])
 
@@ -162,8 +162,7 @@ def test_all_filters_disabled_is_identity(rng):
 
 def test_filters_match_bruteforce_predicates(rng):
     scene = random_scene(rng, 100, spread=3.0)
-    filters = FilterConfig(bbox_min=(-2, -2, -2), bbox_max=(2, 2, 2),
-                           max_scale=0.25, min_opacity=0.4)
+    filters = FilterConfig(bbox=(-2, -2, -2, 2, 2, 2), max_scale=0.25, min_opacity=0.4)
     expected = []
     for i in range(scene.count):
         inside = np.all(scene.position[i] >= -2) and np.all(scene.position[i] <= 2)
@@ -189,7 +188,7 @@ def test_filter_composition_order_irrelevant(rng):
 def test_filter_everything_is_error():
     scene = activate(make_record(position=np.array([10.0, 0.0, 0.0])))
     with pytest.raises(DomainError, match="empty scene after filtering"):
-        filter_scene(scene, FilterConfig(bbox_min=(-1, -1, -1), bbox_max=(1, 1, 1)))
+        filter_scene(scene, FilterConfig(bbox=(-1, -1, -1, 1, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

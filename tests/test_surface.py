@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference import composite_reference, merge_best, sor_reference
-from splatcloud.config import RenderConfig, SamplerConfig, SurfaceConfig
+from splatcloud.config import RenderConfig, SurfaceConfig
 from splatcloud.errors import DomainError
 from splatcloud.renderer import project, render_all
 from splatcloud.sampler import SampleBatch  # noqa: F401  (re-exported surface input)
@@ -233,9 +233,8 @@ def test_planar_wall_normals(rng):
     scene = activate(wall_records(rng))
     pose = frontal_pose(width=64, height=64, focal=55.0, distance=5.0)
     render_all(scene, [pose], RenderConfig(threads=1))
-    cloud, _ = export_surface_cloud(
-        scene, SamplerConfig(sigma=2.0, seed=3, threads=1),
-        SurfaceConfig(surface_points=4000, sor_k=10, sor_std=2.0))
+    cloud, _ = export_surface_cloud(scene, SurfaceConfig(
+        sigma=2.0, seed=3, threads=1, surface_points=4000, sor_k=10, sor_std=2.0))
     assert cloud.normals is not None and len(cloud) > 1000
     # camera sits at z = -5, so the wall normal must be -e_z
     cosines = cloud.normals @ np.array([0.0, 0.0, -1.0], dtype=np.float32)
@@ -267,13 +266,12 @@ def test_occluded_layer_absent(rng):
     expected_mask = contributions >= contributions.mean()
     np.testing.assert_array_equal(selection.surface_mask, expected_mask)
 
-    cloud, _ = export_surface_cloud(
-        scene, SamplerConfig(sigma=2.0, seed=5, threads=1),
-        SurfaceConfig(surface_points=2000, sor_k=10, sor_std=2.0))
+    cloud, _ = export_surface_cloud(scene, SurfaceConfig(
+        sigma=2.0, seed=5, threads=1, surface_points=2000, sor_k=10, sor_std=2.0))
     assert np.all(cloud.points[:, 2] < 1.0)
 
 
 def test_surface_requires_rendering(rng):
     scene = random_scene(rng, 5)
     with pytest.raises(DomainError):
-        export_surface_cloud(scene, SamplerConfig(), SurfaceConfig())
+        export_surface_cloud(scene, SurfaceConfig())

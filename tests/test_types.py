@@ -38,6 +38,22 @@ def test_non_orthonormal_rotation_rejected():
         make_pose(world_to_camera=bad)
 
 
+def _w2c_with(row, col, value):
+    m = np.eye(4)
+    m[row, col] = value
+    return m
+
+
+@pytest.mark.parametrize("overrides", [
+    {"fx": np.inf}, {"fy": np.inf}, {"cx": np.nan},
+    {"world_to_camera": _w2c_with(1, 3, np.nan)},
+    {"world_to_camera": _w2c_with(0, 2, np.inf)},
+], ids=["fx-inf", "fy-inf", "cx-nan", "tvec-nan", "rotation-inf"])
+def test_non_finite_pose_rejected_naming_the_image(overrides):
+    with pytest.raises(DomainError, match="pose 3: intrinsics and world_to_camera must be finite"):
+        make_pose(image_id=3, **overrides)
+
+
 def test_camera_centre_inverts_translation():
     rotation = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     w2c = np.eye(4)
