@@ -66,6 +66,14 @@ def _parse_bbox(text: str) -> tuple[float, ...]:
     return tuple(parts)
 
 
+def _is_box(b) -> bool:
+    """Six finite numbers; anything else (a scalar, a short tuple) is not a box."""
+    try:
+        return len(b) == 6 and all(math.isfinite(v) for v in b)
+    except TypeError:
+        return False
+
+
 def option(default=MISSING, help="", metavar=None, *, parse=None, check=None, key=None):
     """A config field that is also a command-line flag and a config-file key.
 
@@ -115,7 +123,7 @@ class FilterConfig:
 
     bbox: tuple[float, float, float, float, float, float] | None = option(
         None, "keep only gaussians inside this box", "X0,Y0,Z0,X1,Y1,Z1", parse=_parse_bbox,
-        check=((lambda b: all(math.isfinite(v) for v in b)), "values must be finite"))
+        check=(_is_box, "values must be finite and six in number"))
     max_scale: float | None = option(
         None, "drop gaussians whose largest linear scale exceeds S", "S", parse=float,
         check=_above(0))

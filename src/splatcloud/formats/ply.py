@@ -241,7 +241,7 @@ def write_pointcloud_ply(cloud: PointCloud, path) -> None:
 
     with atomic_write(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fh.write(table.tobytes())
+        fh.write(table)  # through the buffer protocol: no bytes copy
 
 
 def read_pointcloud_ply(path) -> PointCloud:

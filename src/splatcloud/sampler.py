@@ -163,9 +163,15 @@ def build_batches(counts: np.ndarray, seed: int) -> list[SampleBatch]:
 
 
 def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
-    """Shared core: allocate, sample all batches, order by Gaussian index.
+    """Shared core: allocate, sample all batches, place each point by offset.
 
-    Returns (points float64, colours uint8, gaussian_ids, stats).
+    Each worker casts its batch's points to float32 as soon as they are
+    drawn. The batches are then scattered into one pre-sized cloud: row j of
+    Gaussian g lands at ``starts[g] + j``, where ``starts`` is the exclusive
+    cumulative sum of the accepted counts. Points so arrive in Gaussian-index
+    order without a sort, and each batch is released once it is placed.
+
+    Returns (points float32, colours uint8, accepted per Gaussian, stats).
     """
     if scene.count == 0:
         raise DomainError("cannot sample from an empty scene")
@@ -174,37 +180,44 @@ def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
     batches = build_batches(counts, config.seed)
 
     def run(batch: SampleBatch):
-        return sample_batch(batch, scene, config.sigma, config.max_resample_rounds)
+        points, colours, accepted, rejected = sample_batch(
+            batch, scene, config.sigma, config.max_resample_rounds)
+        return points.astype(np.float32), colours, accepted, rejected
 
     results = map_threads(run, batches, config.threads)
 
-    stats = SampleStats(requested=total, allocated=int(counts.sum()))
-    if not results:
-        return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8), \
-            np.zeros(0, dtype=np.int64), stats
-
-    points = np.concatenate([r[0] for r in results], axis=0)
-    colours = np.concatenate([r[1] for r in results], axis=0)
-    gaussian_ids = np.concatenate([
-        np.repeat(batch.gaussian_indices, r[2])
-        for batch, r in zip(batches, results)
-    ])
-    stats.rejected = sum(r[3] for r in results)
-    stats.emitted = len(points)
-
-    order = np.argsort(gaussian_ids, kind="stable")
-    return points[order], colours[order], gaussian_ids[order], stats
+    accepted = np.zeros(scene.count, dtype=np.int64)
+    for batch, (_, _, batch_accepted, _) in zip(batches, results):
+        accepted[batch.gaussian_indices] = batch_accepted
+    starts = np.cumsum(accepted) - accepted
+    stats = SampleStats(requested=total, allocated=int(counts.sum()),
+                        emitted=int(accepted.sum()))
+    points = np.empty((stats.emitted, 3), dtype=np.float32)
+    colours = np.empty((stats.emitted, 3), dtype=np.uint8)
+    for i, batch in enumerate(batches):
+        batch_points, batch_colours, batch_accepted, rejected = results[i]
+        results[i] = None  # release the batch once it is placed
+        # a batch's rows are its Gaussians' runs back to back: shift each run
+        # from its start within the batch to its Gaussian's start in the cloud
+        batch_starts = np.cumsum(batch_accepted) - batch_accepted
+        rows = np.repeat(starts[batch.gaussian_indices] - batch_starts, batch_accepted) \
+            + np.arange(len(batch_points))
+        points[rows] = batch_points
+        colours[rows] = batch_colours
+        stats.rejected += rejected
+    return points, colours, accepted, stats
 
 
 def generate_pointcloud(scene: GaussianScene, total: int,
                         config: SamplerConfig) -> tuple[PointCloud, SampleStats]:
     """Sample the whole scene into a coloured point cloud.
 
-    Points come out concatenated in Gaussian-index order; with a fixed seed
-    the result is bit-identical across runs and worker counts.
+    Points are grouped by Gaussian in index order, each Gaussian's run at
+    its own row offset; with a fixed seed the result is bit-identical across
+    runs and worker counts.
     """
     points, colours, _, stats = _sample_scene(scene, total, config)
-    cloud = PointCloud(points=points.astype(np.float32), colours=colours)
+    cloud = PointCloud(points=points, colours=colours)
     log.info("sampled %d points (requested %d, allocated %d, rejected draws %d)",
              stats.emitted, stats.requested, stats.allocated, stats.rejected)
     return cloud, stats

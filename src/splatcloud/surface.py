@@ -111,13 +111,9 @@ def export_surface_cloud(scene: GaussianScene,
     log.info("surface selection kept %d of %d gaussians (mean contribution %.4g)",
              subset.count, scene.count, selection.mean_contribution)
 
-    points, colours, gaussian_ids, stats = _sample_scene(
-        subset, config.surface_points, config)
-    cloud = PointCloud(
-        points=points.astype(np.float32),
-        colours=colours,
-        normals=normals[gaussian_ids].astype(np.float32),
-    )
+    points, colours, accepted, stats = _sample_scene(subset, config.surface_points, config)
+    cloud = PointCloud(points=points, colours=colours,
+                       normals=np.repeat(normals.astype(np.float32), accepted, axis=0))
     cloud = remove_statistical_outliers(cloud, config.sor_k, config.sor_std,
                                         workers=resolve_workers(config.threads))
     return cloud, stats

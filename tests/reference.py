@@ -193,3 +193,32 @@ def mahalanobis_reference(point, mean, cov):
     diff = np.asarray(point, dtype=np.float64) - np.asarray(mean, dtype=np.float64)
     squared = np.einsum("...i,ij,...j->...", diff, np.linalg.inv(cov), diff)
     return math.sqrt(squared) if diff.ndim == 1 else np.sqrt(squared)
+
+
+# ---------------------------------------------------------------------------
+# point-order oracle
+
+def sample_scene_reference(scene, total, config):
+    """Assemble the package's per-batch draws by concatenating and sorting.
+
+    The draws themselves come from ``sample_batch`` (they are keyed per
+    batch, so nothing else could reproduce them); only the assembly is
+    independent: every batch is concatenated in float64, then a stable
+    argsort by Gaussian id puts the points in Gaussian-index order, and the
+    points are cast to float32 last. Returns (points, colours, gaussian_ids).
+    """
+    from splatcloud.sampler import allocate, build_batches, gaussian_volume, sample_batch
+
+    counts = allocate(gaussian_volume(scene.log_scale), total,
+                      "exact" if config.exact else "binned")
+    points, colours, gaussian_ids = [], [], []
+    for batch in build_batches(counts, config.seed):
+        batch_points, batch_colours, accepted, _ = sample_batch(
+            batch, scene, config.sigma, config.max_resample_rounds)
+        points.append(batch_points)
+        colours.append(batch_colours)
+        gaussian_ids.append(np.repeat(batch.gaussian_indices, accepted))
+    gaussian_ids = np.concatenate(gaussian_ids)
+    order = np.argsort(gaussian_ids, kind="stable")
+    return (np.concatenate(points)[order].astype(np.float32),
+            np.concatenate(colours)[order], gaussian_ids[order])

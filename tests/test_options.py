@@ -61,7 +61,8 @@ OUT_OF_RANGE = {
     "--max-scale": ("0", "--max-scale must be > 0, got 0.0"),
     "--min-opacity": ("1.5", "--min-opacity must be within 0..1, got 1.5"),
     "--bbox": ("0,0,0,1,1,inf",
-               "--bbox values must be finite, got (0.0, 0.0, 0.0, 1.0, 1.0, inf)"),
+               "--bbox values must be finite and six in number, "
+               "got (0.0, 0.0, 0.0, 1.0, 1.0, inf)"),
 }
 
 # NaN as written for the checked flags that take several numbers.
@@ -182,6 +183,8 @@ def test_out_of_range_value_keeps_its_message(capsys, captured_config, flag):
     ({"mesh_prep": True}, "--mesh-prep requires camera poses"),
     ({"bbox": (math.nan, 0.0, 0.0, 1.0, 1.0, 1.0)}, "--bbox values must be finite"),
     ({"bbox": (0.0, 0.0, 0.0, 1.0, math.inf, 1.0)}, "--bbox values must be finite"),
+    ({"bbox": (0.0, 0.0, 0.0)}, "--bbox values must be finite and six in number"),
+    ({"bbox": 1.0}, "--bbox values must be finite and six in number"),
 ])
 def test_python_api_validation(override, message):
     config = PipelineConfig(input_gaussians="scene.ply", output="cloud.ply", **override)

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from reference import largest_remainder_reference, mahalanobis_reference
+from reference import (
+    largest_remainder_reference,
+    mahalanobis_reference,
+    sample_scene_reference,
+)
 from splatcloud.config import SamplerConfig
 from splatcloud.errors import DomainError
 from splatcloud.sampler import (
@@ -301,6 +305,21 @@ def test_points_ordered_by_gaussian(rng):
     owners = np.argmin(
         np.linalg.norm(cloud.points[:, None, :] - scene.position[None], axis=2), axis=1)
     assert np.all(np.diff(owners) >= 0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("exact", [True, False])
+def test_pointcloud_matches_sorted_reference(threads, exact):
+    # widely spread scales give many batches; one draw round at sigma 1 drops
+    # about 80% of the slots, so most Gaussians emit fewer points than allocated
+    scene = random_scene(np.random.default_rng(808), 400, log_scale_range=(-5.0, 0.5))
+    config = SamplerConfig(sigma=1.0, max_resample_rounds=1, exact=exact, seed=6,
+                           threads=threads)
+    cloud, stats = generate_pointcloud(scene, 40_000, config)
+    points, colours, _ = sample_scene_reference(scene, 40_000, config)
+    assert stats.emitted < stats.allocated // 2
+    assert cloud.points.tobytes() == points.tobytes()
+    assert cloud.colours.tobytes() == colours.tobytes()
 
 
 def test_colours_use_rendered_best(rng):

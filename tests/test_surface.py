@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from reference import composite_reference, merge_best, sor_reference
+from reference import (
+    composite_reference,
+    merge_best,
+    sample_scene_reference,
+    sor_reference,
+)
 from splatcloud.config import RenderConfig, SurfaceConfig
 from splatcloud.errors import DomainError
+from splatcloud import surface
 from splatcloud.renderer import project, render_all
 from splatcloud.sampler import SampleBatch  # noqa: F401  (re-exported surface input)
 from splatcloud.scene import ContributionState, activate
@@ -269,6 +275,27 @@ def test_occluded_layer_absent(rng):
     cloud, _ = export_surface_cloud(scene, SurfaceConfig(
         sigma=2.0, seed=5, threads=1, surface_points=2000, sor_k=10, sor_std=2.0))
     assert np.all(cloud.points[:, 2] < 1.0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_every_surface_point_carries_its_gaussians_normal(monkeypatch, threads):
+    rng = np.random.default_rng(909)
+    scene = random_scene(rng, 300, log_scale_range=(-5.0, 0.5))
+    scene.contribution = ContributionState.initial(scene.count)
+    scene.contribution.best_camera_centre[:] = [0.0, 0.0, -5.0]
+    scene.contribution.best_contribution[:] = rng.uniform(0.0, 1.0, scene.count)
+    monkeypatch.setattr(surface, "remove_statistical_outliers", lambda cloud, *_, **__: cloud)
+    config = SurfaceConfig(sigma=1.0, max_resample_rounds=1, seed=8, threads=threads,
+                           surface_points=30_000)
+    cloud, _ = export_surface_cloud(scene, config)
+
+    selection = select_surface(scene)
+    assert 0 < selection.surface_mask.sum() < scene.count
+    normals = surface_normals(scene, selection)[selection.surface_mask]
+    points, _, gaussian_ids = sample_scene_reference(
+        scene.take(selection.surface_mask), config.surface_points, config)
+    assert cloud.points.tobytes() == points.tobytes()
+    assert cloud.normals.tobytes() == normals[gaussian_ids].astype(np.float32).tobytes()
 
 
 def test_surface_requires_rendering(rng):
