@@ -180,6 +180,7 @@ def run(config: PipelineConfig) -> PipelineStats:
         clock.run("write", lambda: formats.write_pointcloud_ply(cloud, output))
         stats.output = str(output)
         log.info("wrote %d points to %s", len(cloud), output)
+        del cloud  # written; free it before the surface stage samples its own cloud
 
         if config.mesh_prep:
             def surface(s=scene):

@@ -20,6 +20,11 @@ from .types import PointCloud
 
 log = logging.getLogger(__name__)
 
+# Rows per k-NN query in outlier removal: each block's (k + 1)-wide distance
+# and index arrays are freed before the next, so memory does not grow with
+# k times the cloud size.
+SOR_BLOCK_ROWS = 1 << 15
+
 
 @dataclass
 class SurfaceSelection:
@@ -71,13 +76,14 @@ def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
                                 std_ratio: float = 2.0, workers: int = 1) -> PointCloud:
     """Drop points whose mean k-NN distance exceeds mean + std_ratio * std.
 
-    Exact nearest neighbours via a KD-tree queried on ``workers`` threads;
-    each query's result is independent of the split, so the survivors (in
-    their original order) are the same for any worker count.
+    Exact nearest neighbours via a KD-tree queried on ``workers`` threads,
+    ``SOR_BLOCK_ROWS`` points at a time; each query's result is independent
+    of the split, so the survivors (in their original order) are the same
+    for any worker count and block size.
     """
     if k_neighbours < 1:
         raise DomainError(f"k_neighbours must be >= 1, got {k_neighbours}")
-    if std_ratio <= 0:
+    if not std_ratio > 0:  # also rejects NaN, which would keep no point
         raise DomainError(f"std_ratio must be > 0, got {std_ratio}")
     if len(cloud) <= k_neighbours:
         raise DomainError(
@@ -87,8 +93,13 @@ def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
 
     points = cloud.points.astype(np.float64)
     tree = cKDTree(points)
-    distances, _ = tree.query(points, k=k_neighbours + 1, workers=workers)
-    mean_distance = distances[:, 1:].mean(axis=1)  # column 0 is the point itself
+    mean_distance = np.empty(len(points))
+    for start in range(0, len(points), SOR_BLOCK_ROWS):
+        block = slice(start, start + SOR_BLOCK_ROWS)
+        distances = tree.query(points[block], k=k_neighbours + 1, workers=workers)[0]
+        mean_distance[block] = distances[:, 1:].mean(axis=1)  # column 0 is the point itself
+        del distances  # free this block before the next one is queried
+    del tree, points  # free before take() copies the survivors
     threshold = mean_distance.mean() + std_ratio * mean_distance.std()
     keep = mean_distance <= threshold
     removed = int(np.count_nonzero(~keep))

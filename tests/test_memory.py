@@ -1,4 +1,5 @@
-"""Memory guards: sampling and writing stay within a few output sizes.
+"""Memory guards: sampling and writing stay within a few output sizes, and
+outlier removal holds a few tens of bytes per point.
 
 numpy reports its buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once, measured in-process.
@@ -13,7 +14,8 @@ from splatcloud.config import SamplerConfig
 from splatcloud.formats import write_pointcloud_ply
 from splatcloud.sampler import generate_pointcloud
 from splatcloud.scene import activate
-from splatcloud.types import RawGaussians
+from splatcloud.surface import remove_statistical_outliers
+from splatcloud.types import PointCloud, RawGaussians
 
 POINT_BYTES = 15  # one output vertex: xyz float32 + rgb uint8
 
@@ -50,3 +52,31 @@ def test_sampling_and_writing_peaks_stay_near_output_size(tmp_path, exact):
         f"sampling peaked at {sample_peak / output_bytes:.2f}x the output"
     assert write_peak - with_cloud <= 1.25 * output_bytes, \
         f"writing peaked at {(write_peak - with_cloud) / output_bytes:.2f}x the output"
+
+
+def oriented_cloud(n, seed=3):
+    """``n`` points uniform in a cube, with random unit normals."""
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(points=rng.uniform(-1.0, 1.0, (n, 3)),
+                      colours=rng.integers(0, 256, (n, 3), dtype=np.uint8),
+                      normals=normals)
+
+
+def test_outlier_removal_memory_does_not_grow_with_k():
+    # k = 20 neighbours would cost (k + 1) * 16 = 336 bytes per point if every
+    # distance and index were held at once; the float64 copy, the tree's index
+    # array, the mean distances and the survivors' copy stay well under 128
+    remove_statistical_outliers(oriented_cloud(100), 20)  # loads scipy untraced
+    peaks = {}
+    for n in (40_000, 160_000):  # both above one query block
+        cloud = oriented_cloud(n)
+        tracemalloc.start()
+        try:
+            remove_statistical_outliers(cloud, 20, 2.0, workers=2)
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[160_000] - peaks[40_000]) / 120_000
+    assert slope <= 128, f"outlier removal holds {slope:.0f} bytes per point"

@@ -185,6 +185,25 @@ def test_same_survivors_at_any_worker_count(rng):
     assert one.colours.tobytes() == two.colours.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_same_survivors_at_any_block_size(monkeypatch, rng, workers):
+    n = 500
+    points = rng.standard_normal((n, 3)).astype(np.float32)
+    points[::37] *= 5.0
+    normals = rng.standard_normal((n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cloud = PointCloud(points=points, colours=rng.integers(0, 256, (n, 3), dtype=np.uint8),
+                       normals=normals)
+    expected = cloud.take(sor_reference(points, 12, 1.5))
+    assert len(expected) < n
+    for block_rows in (7, n, 4 * n):  # 7 does not divide n
+        monkeypatch.setattr(surface, "SOR_BLOCK_ROWS", block_rows)
+        cleaned = remove_statistical_outliers(cloud, 12, 1.5, workers=workers)
+        assert cleaned.points.tobytes() == expected.points.tobytes()
+        assert cleaned.colours.tobytes() == expected.colours.tobytes()
+        assert cleaned.normals.tobytes() == expected.normals.tobytes()
+
+
 def fibonacci_sphere(n):
     """Near-uniform sphere covering; keeps neighbour spacing tight."""
     k = np.arange(n, dtype=np.float64)
@@ -209,6 +228,14 @@ def test_too_few_points_error(rng):
                        colours=np.zeros((5, 3), dtype=np.uint8))
     with pytest.raises(DomainError):
         remove_statistical_outliers(cloud, k_neighbours=5)
+
+
+@pytest.mark.parametrize("std_ratio", [0.0, -1.0, float("nan")])
+def test_non_positive_or_nan_std_ratio_error(rng, std_ratio):
+    cloud = PointCloud(points=rng.standard_normal((50, 3)),
+                       colours=np.zeros((50, 3), dtype=np.uint8))
+    with pytest.raises(DomainError, match="std_ratio"):
+        remove_statistical_outliers(cloud, 10, std_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +323,15 @@ def test_every_surface_point_carries_its_gaussians_normal(monkeypatch, threads):
         scene.take(selection.surface_mask), config.surface_points, config)
     assert cloud.points.tobytes() == points.tobytes()
     assert cloud.normals.tobytes() == normals[gaussian_ids].astype(np.float32).tobytes()
+
+
+def test_surface_export_rejects_nan_std_ratio(rng):
+    # SurfaceConfig is not validated here, so the filter itself must refuse
+    # the NaN that would otherwise drop every point
+    scene = rendered_scene(rng, 50)
+    with pytest.raises(DomainError, match="std_ratio"):
+        export_surface_cloud(scene, SurfaceConfig(seed=8, threads=1, surface_points=2000,
+                                                  sor_std=float("nan")))
 
 
 def test_surface_requires_rendering(rng):
