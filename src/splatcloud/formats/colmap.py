@@ -100,22 +100,33 @@ def _read_images_bin(path: Path) -> list[_Image]:
     return images
 
 
-def _data_lines(path: Path):
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield line
+def _text_lines(path: Path):
+    """(1-based line number, stripped line) for every line of a text file."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as err:
+        raise FileFormatError(f"{path}: not a text file ({err})") from err
+    return enumerate((line.strip() for line in text.splitlines()), start=1)
 
 
 def _read_cameras_txt(path: Path) -> dict[int, _Camera]:
     cameras = {}
-    for line in _data_lines(path):
+    for number, line in _text_lines(path):
+        if not line or line.startswith("#"):
+            continue
         elems = line.split()
-        cam_id, model = int(elems[0]), elems[1]
+        try:
+            cam_id, model, width, height = int(elems[0]), elems[1], int(elems[2]), int(elems[3])
+            params = np.array([float(v) for v in elems[4:]])
+        except (IndexError, ValueError) as err:
+            raise FileFormatError(f"{path}:{number}: bad camera line ({err})") from err
         if model not in _MODEL_IDS:
             raise FileFormatError(f"{path}: unknown camera model '{model}'")
-        cameras[cam_id] = _Camera(cam_id, model, int(elems[2]), int(elems[3]),
-                                  np.array([float(v) for v in elems[4:]]))
+        expected = CAMERA_MODELS[_MODEL_IDS[model]][1]
+        if len(params) != expected:
+            raise FileFormatError(f"{path}:{number}: a {model} camera has {expected} "
+                                  f"parameters, got {len(params)}")
+        cameras[cam_id] = _Camera(cam_id, model, width, height, params)
     return cameras
 
 
@@ -123,21 +134,23 @@ def _read_images_txt(path: Path) -> list[_Image]:
     images = []
     expecting_pose = True
     # two lines per image: pose line, then the (possibly empty) 2D observations
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
+    for number, line in _text_lines(path):
         if line.startswith("#"):
             continue
         if expecting_pose:
             if not line:
                 continue
             elems = line.split()
-            images.append(_Image(
-                image_id=int(elems[0]),
-                qvec=np.array([float(v) for v in elems[1:5]]),
-                tvec=np.array([float(v) for v in elems[5:8]]),
-                camera_id=int(elems[8]),
-                name=elems[9],
-            ))
+            try:
+                images.append(_Image(
+                    image_id=int(elems[0]),
+                    qvec=np.array([float(v) for v in elems[1:5]]),
+                    tvec=np.array([float(v) for v in elems[5:8]]),
+                    camera_id=int(elems[8]),
+                    name=elems[9],
+                ))
+            except (IndexError, ValueError) as err:
+                raise FileFormatError(f"{path}:{number}: bad image line ({err})") from err
             expecting_pose = False
         else:
             expecting_pose = True

@@ -22,42 +22,26 @@ log = logging.getLogger(__name__)
 DEFAULT_RESOLUTION = 800
 
 
-def _frame_intrinsics(frame: dict, contents: dict, path: Path):
+def _frame_intrinsics(frame: dict, contents: dict, where: str):
     """Resolve fx, fy, cx, cy, width, height with per-frame values winning."""
     def pick(key, default=None):
-        if key in frame:
-            return frame[key]
-        return contents.get(key, default)
+        value = frame[key] if key in frame else contents.get(key)
+        return default if value is None else value
 
-    width = pick("w")
-    height = pick("h")
-    if width is None:
-        width = DEFAULT_RESOLUTION
-    if height is None:
-        height = DEFAULT_RESOLUTION
-    width, height = int(width), int(height)
-
-    fl_x = pick("fl_x")
-    fl_y = pick("fl_y")
-    if fl_x is None and fl_y is None:
-        angle = pick("camera_angle_x")
-        if angle is None:
-            raise FileFormatError(
-                f"{path}: frame has neither camera_angle_x nor fl_x intrinsics"
-            )
-        fl_x = fl_y = 0.5 * width / math.tan(0.5 * float(angle))
-    elif fl_x is None:
-        fl_x = fl_y
-    elif fl_y is None:
-        fl_y = fl_x
-
-    cx = pick("cx")
-    cy = pick("cy")
-    if cx is None:
-        cx = width / 2.0
-    if cy is None:
-        cy = height / 2.0
-    return float(fl_x), float(fl_y), float(cx), float(cy), width, height
+    fl_x, fl_y, angle = pick("fl_x"), pick("fl_y"), pick("camera_angle_x")
+    if fl_x is None and fl_y is None and angle is None:
+        raise FileFormatError(f"{where} has neither camera_angle_x nor fl_x intrinsics")
+    try:
+        width = int(pick("w", DEFAULT_RESOLUTION))
+        height = int(pick("h", DEFAULT_RESOLUTION))
+        if fl_x is None and fl_y is None:
+            fl_x = fl_y = 0.5 * width / math.tan(0.5 * float(angle))
+        fl_x = fl_y if fl_x is None else fl_x
+        fl_y = fl_x if fl_y is None else fl_y
+        return (float(fl_x), float(fl_y), float(pick("cx", width / 2.0)),
+                float(pick("cy", height / 2.0)), width, height)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as err:
+        raise FileFormatError(f"{where}: intrinsics must be numbers ({err})") from err
 
 
 def load_cameras_nerf_json(path) -> list[CameraPose]:
@@ -68,39 +52,41 @@ def load_cameras_nerf_json(path) -> list[CameraPose]:
     """
     path = Path(path)
     try:
-        contents = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+        contents = json.loads(path.read_bytes())
+    except ValueError as err:  # also undecodable text and over-long integers
         raise FileFormatError(f"{path}: invalid JSON ({err})") from err
-    if not isinstance(contents, dict) or "frames" not in contents:
+    if not isinstance(contents, dict) or not isinstance(contents.get("frames"), list):
         raise FileFormatError(f"{path}: missing 'frames' array")
 
     frames = contents["frames"]
+    for index, frame in enumerate(frames):
+        if not isinstance(frame, dict):
+            raise FileFormatError(f"{path}: frame {index} is not an object")
     order = sorted(range(len(frames)),
                    key=lambda i: str(frames[i].get("file_path", f"{i:08d}")))
 
     poses = []
     for rank, frame_index in enumerate(order):
         frame = frames[frame_index]
+        where = f"{path}: frame {frame_index}"
         if "transform_matrix" not in frame:
-            raise FileFormatError(f"{path}: frame {frame_index} lacks transform_matrix")
-        c2w = np.array(frame["transform_matrix"], dtype=np.float64)
+            raise FileFormatError(f"{where} lacks transform_matrix")
+        try:
+            c2w = np.array(frame["transform_matrix"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise FileFormatError(f"{where}: transform_matrix must be numbers ({err})") from err
         if c2w.shape != (4, 4):
-            raise FileFormatError(f"{path}: transform_matrix of frame {frame_index} is not 4x4")
-        # OpenGL -> COLMAP: flip the y and z camera axes, then invert.
-        c2w = c2w.copy()
+            raise FileFormatError(f"{where}: transform_matrix is not 4x4")
+        # OpenGL -> COLMAP: flip the y and z camera axes (of this copy), then invert.
         c2w[:3, 1:3] *= -1.0
         try:
             world_to_camera = np.linalg.inv(c2w)
         except np.linalg.LinAlgError as err:
-            raise FileFormatError(
-                f"{path}: transform_matrix of frame {frame_index} is not invertible"
-            ) from err
+            raise FileFormatError(f"{where}: transform_matrix is not invertible") from err
         if not np.all(np.isfinite(world_to_camera)):
-            raise FileFormatError(
-                f"{path}: transform_matrix of frame {frame_index} is not invertible"
-            )
+            raise FileFormatError(f"{where}: transform_matrix is not invertible")
 
-        fx, fy, cx, cy, width, height = _frame_intrinsics(frame, contents, path)
+        fx, fy, cx, cy, width, height = _frame_intrinsics(frame, contents, where)
         poses.append(CameraPose(
             image_id=rank,
             width=width, height=height,

@@ -94,13 +94,17 @@ def _parse_header(data: bytes, path: Path):
                 if len(tokens) < 5:
                     raise _bad_header_line(
                         path, line, "property list <count type> <item type> <name>")
-                elements[-1].properties.append((tokens[4], ""))
+                prop = (tokens[4], "")
             else:
                 if len(tokens) < 3:
                     raise _bad_header_line(path, line, "property <type> <name>")
                 if tokens[1] not in _SCALAR_TYPES:
                     raise FileFormatError(f"{path}: unknown property type '{tokens[1]}'")
-                elements[-1].properties.append((tokens[2], tokens[1]))
+                prop = (tokens[2], tokens[1])
+            if any(name == prop[0] for name, _ in elements[-1].properties):
+                raise FileFormatError(f"{path}: element '{elements[-1].name}' declares "
+                                      f"property '{prop[0]}' twice")
+            elements[-1].properties.append(prop)
         else:
             raise FileFormatError(f"{path}: unexpected header line '{line}'")
     if fmt is None:

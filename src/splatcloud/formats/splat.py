@@ -47,7 +47,9 @@ def load_gaussians_splat(path) -> RawGaussians:
         )
     table = np.frombuffer(data, dtype=_RECORD_DTYPE)
 
-    scale = table["scale"].astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN; drop_invalid removes its row
+        position = table["position"].astype(np.float64)
+        scale = table["scale"].astype(np.float64)
     if np.any(scale <= 0):
         bad = int(np.argwhere(scale <= 0)[0][0])
         raise FileFormatError(f"{path}: record {bad} has non-positive scale (log undefined)")
@@ -59,7 +61,6 @@ def load_gaussians_splat(path) -> RawGaussians:
     logit_opacity = np.log(alpha / (1.0 - alpha))
 
     rotation = (table["quat"].astype(np.float64) - 128.0) / 128.0
-    position = table["position"].astype(np.float64)
 
     raw = RawGaussians(position=position, log_scale=log_scale, rotation=rotation,
                        logit_opacity=logit_opacity, sh_dc=sh_dc)

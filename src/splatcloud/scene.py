@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import FilterConfig
 from .errors import DomainError
-from .types import RawGaussians
+from .types import RawGaussians, take_rows
 
 log = logging.getLogger(__name__)
 
@@ -161,15 +161,6 @@ class ContributionState:
         self.best_pixel_index[win] = pixel_index[better]
         self.best_camera_centre[win] = camera_centre
 
-    def take(self, selector) -> "ContributionState":
-        return ContributionState(
-            best_contribution=self.best_contribution[selector],
-            best_colour=self.best_colour[selector],
-            best_image_rank=self.best_image_rank[selector],
-            best_pixel_index=self.best_pixel_index[selector],
-            best_camera_centre=self.best_camera_centre[selector],
-        )
-
 
 @dataclass
 class GaussianScene:
@@ -198,18 +189,7 @@ class GaussianScene:
             return self.contribution.best_colour
         return self.base_colour
 
-    def take(self, selector) -> "GaussianScene":
-        """Subset by mask or index array; relative order is preserved."""
-        return GaussianScene(
-            position=self.position[selector],
-            log_scale=self.log_scale[selector],
-            rotation_unit=self.rotation_unit[selector],
-            opacity=self.opacity[selector],
-            covariance=self.covariance[selector],
-            cov_cholesky=self.cov_cholesky[selector],
-            base_colour=self.base_colour[selector],
-            contribution=None if self.contribution is None else self.contribution.take(selector),
-        )
+    take = take_rows
 
 
 def activate(raw: RawGaussians) -> GaussianScene:
@@ -222,32 +202,24 @@ def activate(raw: RawGaussians) -> GaussianScene:
     if len(raw) == 0:
         raise DomainError("cannot activate an empty set of gaussians")
 
-    position, log_scale = raw.position, raw.log_scale
-    norm = np.linalg.norm(raw.rotation, axis=1, keepdims=True)
-    rotation_unit = raw.rotation / norm
-    opacity = sigmoid(raw.logit_opacity)
-    base_colour = np.clip(0.5 + SH_C0 * raw.sh_dc, 0.0, 1.0)
-
-    covariance, chol, ok = _regularised_covariances(log_scale, rotation_unit)
-    if not np.all(ok):
-        log.warning("dropping %d degenerate gaussians (covariance not factorisable)",
-                    int(np.count_nonzero(~ok)))
-        position, log_scale = position[ok], log_scale[ok]
-        rotation_unit, opacity = rotation_unit[ok], opacity[ok]
-        base_colour = base_colour[ok]
-        covariance, chol = covariance[ok], chol[ok]
-        if len(position) == 0:
-            raise DomainError("all gaussians were degenerate")
-
-    return GaussianScene(
-        position=position,
-        log_scale=log_scale,
+    rotation_unit = raw.rotation / np.linalg.norm(raw.rotation, axis=1, keepdims=True)
+    covariance, chol, ok = _regularised_covariances(raw.log_scale, rotation_unit)
+    scene = GaussianScene(
+        position=raw.position,
+        log_scale=raw.log_scale,
         rotation_unit=rotation_unit,
-        opacity=opacity,
+        opacity=sigmoid(raw.logit_opacity),
         covariance=covariance,
         cov_cholesky=chol,
-        base_colour=base_colour,
+        base_colour=np.clip(0.5 + SH_C0 * raw.sh_dc, 0.0, 1.0),
     )
+    if ok.all():
+        return scene
+    log.warning("dropping %d degenerate gaussians (covariance not factorisable)",
+                int(np.count_nonzero(~ok)))
+    if not ok.any():
+        raise DomainError("all gaussians were degenerate")
+    return scene.take(ok)
 
 
 def filter_scene(scene: GaussianScene, config: FilterConfig) -> GaussianScene:

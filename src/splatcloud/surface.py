@@ -51,15 +51,13 @@ def select_surface(scene: GaussianScene) -> SurfaceSelection:
     return SurfaceSelection(surface_mask=mask, mean_contribution=threshold)
 
 
-def surface_normals(scene: GaussianScene, selection: SurfaceSelection) -> np.ndarray:
+def surface_normals(scene: GaussianScene) -> np.ndarray:
     """Unit normal per Gaussian: the rotated axis of the smallest scale.
 
     The sign is chosen so the normal points towards the camera centre that
     recorded the Gaussian's best contribution (non-negative dot product with
     centre - mean). Gaussians never seen by a camera keep the unflipped axis.
     """
-    if not np.any(selection.surface_mask):
-        raise DomainError("surface selection is empty")
     rot = quats_to_rotmats(scene.rotation_unit)
     smallest = np.argmin(scene.log_scale, axis=1)
     normals = np.take_along_axis(rot, smallest[:, None, None], axis=2)[:, :, 0]
@@ -117,8 +115,8 @@ def export_surface_cloud(scene: GaussianScene,
     result is independent of the main cloud's point budget.
     """
     selection = select_surface(scene)
-    normals = surface_normals(scene, selection)[selection.surface_mask]
     subset = scene.take(selection.surface_mask)
+    normals = surface_normals(subset)
     log.info("surface selection kept %d of %d gaussians (mean contribution %.4g)",
              subset.count, scene.count, selection.mean_contribution)
 

@@ -1,15 +1,48 @@
-"""Core domain types shared by the loaders, renderer and samplers."""
+"""Core domain types shared by the loaders, renderer and samplers.
+
+Columnar tables hold one row per element in every array field and share one
+row-subset rule, :func:`take_rows`.
+"""
 
 from __future__ import annotations
 
+import copy
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 log = logging.getLogger(__name__)
+
+
+def take_rows(table, selector):
+    """The rows ``selector`` picks from every column of a columnar dataclass.
+
+    ``selector`` is a boolean mask, an index array or a slice, applied to each
+    ndarray field in turn; a nested table is subset the same way and ``None``
+    stays ``None``. The result is a shallow copy of ``table``: the constructor
+    does not run again, since a row subset of valid columns is still valid.
+    Classes expose this as ``take``.
+    """
+    subset = copy.copy(table)
+    for f in fields(table):
+        value = getattr(table, f.name)
+        if isinstance(value, np.ndarray):
+            setattr(subset, f.name, _rows(value, selector))
+        elif is_dataclass(value):
+            setattr(subset, f.name, take_rows(value, selector))
+    return subset
+
+
+def _rows(column: np.ndarray, selector) -> np.ndarray:
+    if isinstance(selector, np.ndarray) and selector.dtype == bool and column.ndim > 1:
+        # A mask as wide as the column keeps numpy on its boolean path; a
+        # one-wide mask would first become an 8-byte index per kept row.
+        wide = np.broadcast_to(selector.reshape((-1,) + (1,) * (column.ndim - 1)), column.shape)
+        return column[wide].reshape((np.count_nonzero(selector),) + column.shape[1:])
+    return column[selector]
 
 
 @dataclass
@@ -30,6 +63,7 @@ class RawGaussians:
     sh_dc: np.ndarray           # (N, 3)
     sh_rest: np.ndarray | None = None  # (N, K); None means K = 0
 
+    @np.errstate(invalid="ignore")  # widening a signalling NaN; drop_invalid removes its row
     def __post_init__(self):
         for name, width in (("position", 3), ("log_scale", 3), ("rotation", 4), ("sh_dc", 3)):
             values = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
@@ -45,16 +79,7 @@ class RawGaussians:
     def __len__(self) -> int:
         return len(self.position)
 
-    def take(self, selector) -> "RawGaussians":
-        """Subset by boolean mask, index array or slice, preserving order."""
-        return RawGaussians(
-            position=self.position[selector],
-            log_scale=self.log_scale[selector],
-            rotation=self.rotation[selector],
-            logit_opacity=self.logit_opacity[selector],
-            sh_dc=self.sh_dc[selector],
-            sh_rest=self.sh_rest[selector],
-        )
+    take = take_rows
 
     def valid_rows(self) -> np.ndarray:
         """Boolean mask of the rows activation can use.
@@ -172,10 +197,4 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def take(self, selector) -> "PointCloud":
-        """Subset by boolean mask or index array, preserving order."""
-        return PointCloud(
-            points=self.points[selector],
-            colours=self.colours[selector],
-            normals=None if self.normals is None else self.normals[selector],
-        )
+    take = take_rows

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 from splatcloud.scene import activate
 from splatcloud.types import CameraPose, RawGaussians
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Derandomized and without an example database, so every run tries the
+    # same bounded set of examples.
+    settings.register_profile("splatcloud", derandomize=True, deadline=None, database=None,
+                              max_examples=100)
+    settings.load_profile("splatcloud")
 
 
 def random_records(rng, n, *, spread=1.0, log_scale_range=(-2.5, -0.5),
@@ -37,8 +49,8 @@ def random_records(rng, n, *, spread=1.0, log_scale_range=(-2.5, -0.5),
 def concat(*parts: RawGaussians) -> RawGaussians:
     """Rows of every part, in order."""
     return RawGaussians(**{
-        name: np.concatenate([getattr(part, name) for part in parts])
-        for name in ("position", "log_scale", "rotation", "logit_opacity", "sh_dc", "sh_rest")
+        f.name: np.concatenate([getattr(part, f.name) for part in parts])
+        for f in fields(RawGaussians)
     })
 
 

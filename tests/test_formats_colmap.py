@@ -100,3 +100,24 @@ def test_rotation_assembled_from_quaternion(tmp_path):
     np.testing.assert_allclose(pose.rotation @ np.array([1.0, 0, 0]),
                                [0.0, 1.0, 0.0], atol=1e-12)
     np.testing.assert_array_equal(pose.translation, [1.0, 2.0, 3.0])
+
+
+GOOD_CAMERA_LINE = "1 PINHOLE 640 480 500.0 500.0 320.0 240.0"
+GOOD_IMAGE_LINE = "1 1.0 0.0 0.0 0.0 0.0 0.0 0.0 1 a.png"
+
+
+def write_text_model(directory, camera_line=GOOD_CAMERA_LINE, image_line=GOOD_IMAGE_LINE):
+    (directory / "cameras.txt").write_text(f"# CAMERA_ID, MODEL, WIDTH, HEIGHT\n{camera_line}\n")
+    (directory / "images.txt").write_text(f"# IMAGE_ID, ...\n# NAME\n{image_line}\n\n")
+
+
+@pytest.mark.parametrize("camera_line, image_line, where", [
+    ("1 PINHOLE abc 480 500.0 500.0 320.0 240.0", GOOD_IMAGE_LINE, "cameras.txt:2: bad camera"),
+    ("1 PINHOLE 640 480 500.0", GOOD_IMAGE_LINE, "cameras.txt:2: a PINHOLE camera has 4"),
+    (GOOD_CAMERA_LINE, "1 1.0 0.0 0.0 0.0 0.0 0.0", "images.txt:3: bad image"),
+], ids=["non-integer-width", "one-pinhole-parameter", "short-pose-line"])
+def test_malformed_text_line_is_format_error_naming_the_line(
+        tmp_path, camera_line, image_line, where):
+    write_text_model(tmp_path, camera_line, image_line)
+    with pytest.raises(FileFormatError, match=where):
+        load_cameras_colmap(tmp_path)

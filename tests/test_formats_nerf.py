@@ -108,3 +108,18 @@ def test_opengl_to_colmap_geometry(tmp_path):
     origin_cam = pose.rotation @ np.zeros(3) + pose.translation
     np.testing.assert_allclose(origin_cam, [0.0, 0.0, 4.0], atol=1e-12)
     np.testing.assert_allclose(pose.camera_centre, [0.0, 0.0, 4.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"camera_angle_x": 0.9, "frames": [
+        {"file_path": "a", "transform_matrix": np.eye(4).tolist(), "w": "abc"}]},
+     "frame 0: intrinsics must be numbers"),
+    ({"camera_angle_x": 0.9, "frames": 5}, "missing 'frames' array"),
+    ({"camera_angle_x": 0.9, "frames": [
+        {"file_path": "a", "transform_matrix": np.eye(4).tolist()}, "b.png"]},
+     "frame 1 is not an object"),
+], ids=["string-width", "frames-not-array", "frame-not-object"])
+def test_malformed_frames_are_format_errors_naming_the_frame(tmp_path, payload, where):
+    path = write_json(tmp_path / "transforms.json", payload)
+    with pytest.raises(FileFormatError, match=where):
+        load_cameras_nerf_json(path)

@@ -205,6 +205,15 @@ def test_bad_element_count_is_format_error(tmp_path, original, line):
     assert str(path) in str(caught.value) and f"'{line}'" in str(caught.value)
 
 
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+def test_duplicate_property_is_format_error(tmp_path, rng, binary):
+    path = tmp_path / "scene.ply"
+    write_gaussians_ply(random_records(rng, 3), path, binary=binary)
+    path.write_bytes(path.read_bytes().replace(b"float rot_1\n", b"float rot_0\n"))
+    with pytest.raises(FileFormatError, match="declares property 'rot_0' twice"):
+        load_gaussians_ply(path)
+
+
 def test_non_numeric_ascii_value_is_format_error(tmp_path):
     path = tmp_path / "scene.ply"
     path.write_text(ASCII_FIXTURE.replace("1.5 -2.25 3", "1.5 abc 3"))

@@ -1,5 +1,6 @@
-"""Memory guards: sampling and writing stay within a few output sizes, and
-outlier removal holds a few tens of bytes per point.
+"""Memory guards: sampling and writing stay within a few output sizes,
+outlier removal holds a few tens of bytes per point, and a row subset holds
+little more than the rows it keeps.
 
 numpy reports its buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once, measured in-process.
@@ -80,3 +81,19 @@ def test_outlier_removal_memory_does_not_grow_with_k():
             tracemalloc.stop()
     slope = (peaks[160_000] - peaks[40_000]) / 120_000
     assert slope <= 128, f"outlier removal holds {slope:.0f} bytes per point"
+
+
+def test_take_holds_little_more_than_the_kept_rows():
+    # the kept rows are 27 bytes a point (xyz and normal float32, rgb uint8);
+    # re-checking the normals or indexing each column through an 8-byte row
+    # index would add up to 64 more
+    cloud = oriented_cloud(160_000)
+    keep = np.random.default_rng(5).random(len(cloud)) < 0.97
+    kept_bytes = 27 * int(np.count_nonzero(keep))
+    tracemalloc.start()
+    try:
+        cloud.take(keep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * kept_bytes, f"take peaked at {peak / kept_bytes:.2f}x the kept rows"

@@ -95,7 +95,7 @@ def scene_with(log_scale, rotation, camera_centre=(0.0, 0.0, -5.0)):
 
 def test_normal_is_smallest_axis_oriented_to_camera():
     scene = scene_with([0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0])
-    normals = surface_normals(scene, select_surface(scene))
+    normals = surface_normals(scene)
     # axis 2 is thinnest; the camera sits at -z, so the normal flips to -e_z
     np.testing.assert_allclose(normals[0], [0.0, 0.0, -1.0], atol=1e-12)
 
@@ -103,7 +103,7 @@ def test_normal_is_smallest_axis_oriented_to_camera():
 def test_normal_tie_picks_axis_zero():
     scene = scene_with([0.5, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0],
                        camera_centre=(7.0, 0.0, 0.0))
-    normals = surface_normals(scene, select_surface(scene))
+    normals = surface_normals(scene)
     np.testing.assert_allclose(normals[0], [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_normal_rotated_axis():
     half = np.sqrt(0.5)
     scene = scene_with([0.0, 0.0, -1.0], [half, 0.0, half, 0.0],
                        camera_centre=(6.0, 0.0, 0.0))
-    normals = surface_normals(scene, select_surface(scene))
+    normals = surface_normals(scene)
     np.testing.assert_allclose(np.abs(normals[0]), [1.0, 0.0, 0.0], atol=1e-12)
     assert normals[0] @ np.array([6.0, 0.0, 0.0]) >= 0.0
 
@@ -122,7 +122,7 @@ def test_normals_unit_and_towards_camera(rng):
     scene.contribution.best_contribution[:] = rng.uniform(0.1, 1.0, 50)
     centres = rng.uniform(-8, 8, (50, 3))
     scene.contribution.best_camera_centre[:] = centres
-    normals = surface_normals(scene, select_surface(scene))
+    normals = surface_normals(scene)
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
     dots = np.einsum("nj,nj->n", normals, centres - scene.position)
     assert np.all(dots >= 0.0)
@@ -318,7 +318,7 @@ def test_every_surface_point_carries_its_gaussians_normal(monkeypatch, threads):
 
     selection = select_surface(scene)
     assert 0 < selection.surface_mask.sum() < scene.count
-    normals = surface_normals(scene, selection)[selection.surface_mask]
+    normals = surface_normals(scene)[selection.surface_mask]
     points, _, gaussian_ids = sample_scene_reference(
         scene.take(selection.surface_mask), config.surface_points, config)
     assert cloud.points.tobytes() == points.tobytes()

@@ -1,10 +1,15 @@
-"""Domain-type invariants: camera poses and point clouds."""
+"""Domain-type invariants: camera poses, point clouds and the row-subset rule."""
+
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from splatcloud.errors import DomainError
-from splatcloud.types import CameraPose, PointCloud
+from splatcloud.scene import ContributionState
+from splatcloud.types import CameraPose, PointCloud, RawGaussians
+
+from conftest import random_scene
 
 
 def make_pose(**overrides):
@@ -81,3 +86,54 @@ def test_pointcloud_take_preserves_alignment():
     subset = cloud.take(np.array([True, False, True, False]))
     np.testing.assert_array_equal(subset.points[:, 0], [0.0, 6.0])
     np.testing.assert_array_equal(subset.colours[:, 0], [0, 6])
+
+
+def _table(kind: str):
+    rng = np.random.default_rng(31)
+    n = 6
+    if kind == "raw":
+        return RawGaussians(position=rng.random((n, 3)), log_scale=rng.random((n, 3)),
+                            rotation=rng.random((n, 4)) + 0.1, logit_opacity=rng.random(n),
+                            sh_dc=rng.random((n, 3)), sh_rest=rng.random((n, 9)))
+    if kind.startswith("scene"):
+        scene = random_scene(rng, n)
+        if kind == "scene+contribution":
+            scene.contribution = ContributionState(
+                best_contribution=rng.random(n), best_colour=rng.random((n, 3)),
+                best_image_rank=rng.integers(0, 9, n), best_pixel_index=rng.integers(0, 99, n),
+                best_camera_centre=rng.random((n, 3)))
+        return scene
+    normals = rng.standard_normal((n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(points=rng.random((n, 3)), colours=rng.integers(0, 256, (n, 3)),
+                      normals=normals if kind == "cloud+normals" else None)
+
+
+def _columns(table, prefix=""):
+    """(dotted field name, value) for every field, nested tables flattened."""
+    for f in fields(table):
+        value = getattr(table, f.name)
+        if is_dataclass(value):
+            yield from _columns(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+@pytest.mark.parametrize("selector", [
+    np.array([4, 0, 5, 2, 1, 3]), np.array([True, False, True, True, False, True]), slice(1, 5),
+], ids=["permutation", "mask", "slice"])
+@pytest.mark.parametrize("kind", ["raw", "scene", "scene+contribution", "cloud",
+                                  "cloud+normals"])
+def test_take_carries_every_column(kind, selector):
+    table = _table(kind)
+    columns = dict(_columns(table))
+    assert all(value is None or isinstance(value, np.ndarray) for value in columns.values())
+    assert ("contribution.best_camera_centre" in columns) == (kind == "scene+contribution")
+    subset = dict(_columns(table.take(selector)))
+    assert subset.keys() == columns.keys()
+    for name, value in columns.items():
+        if value is None:
+            assert subset[name] is None, name
+        else:
+            assert subset[name].dtype == value.dtype, name
+            np.testing.assert_array_equal(subset[name], value[selector], err_msg=name)
