@@ -32,7 +32,6 @@ CAMERA_MODELS = {
     10: ("THIN_PRISM_FISHEYE", 12),
 }
 _MODEL_IDS = {name: mid for mid, (name, _) in CAMERA_MODELS.items()}
-SUPPORTED_MODELS = ("SIMPLE_PINHOLE", "PINHOLE")
 
 
 @dataclass
@@ -79,6 +78,7 @@ def _read_cameras_bin(path: Path) -> dict[int, _Camera]:
 
 def _read_images_bin(path: Path) -> list[_Image]:
     images = []
+    size = path.stat().st_size
     with open(path, "rb") as fh:
         (num_images,) = struct.unpack("<Q", _read_exact(fh, 8, "image count"))
         for _ in range(num_images):
@@ -87,16 +87,18 @@ def _read_images_bin(path: Path) -> list[_Image]:
             qvec = np.array(values[1:5], dtype=np.float64)
             tvec = np.array(values[5:8], dtype=np.float64)
             camera_id = values[8]
-            raw_name = b""
-            while True:
-                char = _read_exact(fh, 1, "image name")
-                if char == b"\x00":
-                    break
-                raw_name += char
+            raw_name = b"".join(iter(lambda: _read_exact(fh, 1, "image name"), b"\x00"))
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise FileFormatError(f"{path}: image {image_id} name is not UTF-8") from err
             (num_points2d,) = struct.unpack("<Q", _read_exact(fh, 8, "2D point count"))
-            _read_exact(fh, 24 * num_points2d, "2D points")  # x, y, point3D_id; unused
-            images.append(_Image(image_id, qvec, tvec, camera_id,
-                                 raw_name.decode("utf-8")))
+            points_end = fh.tell() + 24 * num_points2d
+            if points_end > size:
+                raise FileFormatError(f"{path}: image '{name}' declares {num_points2d} "
+                                      f"2D points, past the end of the file")
+            fh.seek(points_end)  # x, y, point3D_id per point; unused, so skipped unread
+            images.append(_Image(image_id, qvec, tvec, camera_id, name))
     return images
 
 

@@ -246,41 +246,3 @@ def write_pointcloud_ply(cloud: PointCloud, path) -> None:
     with atomic_write(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(table)  # through the buffer protocol: no bytes copy
-
-
-def read_pointcloud_ply(path) -> PointCloud:
-    """Read back a point cloud written by :func:`write_pointcloud_ply`."""
-    _, cols = _read_vertex_table(path)
-    for required in ("x", "y", "z", "red", "green", "blue"):
-        if required not in cols:
-            raise FileFormatError(f"{path}: missing property: {required}")
-
-    def stack(names):
-        return np.stack([cols[n] for n in names], axis=1)
-
-    normals = stack(["nx", "ny", "nz"]) if {"nx", "ny", "nz"} <= cols.keys() else None
-    return PointCloud(points=stack(["x", "y", "z"]), colours=stack(["red", "green", "blue"]),
-                      normals=normals)
-
-
-def write_gaussians_ply(raw: RawGaussians, path, binary: bool = True) -> None:
-    """Write raw Gaussians back out in the 3DGS PLY layout (round-trip helper)."""
-    n_rest = raw.sh_rest.shape[1]
-    names = list(_REQUIRED_PROPERTIES[:6]) + [f"f_rest_{i}" for i in range(n_rest)] + \
-        list(_REQUIRED_PROPERTIES[6:])
-    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
-              f"element vertex {len(raw)}"]
-    header += [f"property float {n}" for n in names]
-    header.append("end_header")
-
-    rows = np.concatenate([
-        raw.position, raw.sh_dc, raw.sh_rest,
-        raw.logit_opacity[:, None], raw.log_scale, raw.rotation,
-    ], axis=1).astype(np.float32)
-    with atomic_write(path) as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(rows.tobytes())
-        else:
-            body = "\n".join(" ".join(repr(float(v)) for v in row) for row in rows)
-            fh.write((body + "\n").encode("ascii"))

@@ -1,4 +1,4 @@
-"""Reader/writer for the community 32-byte ``.splat`` format.
+"""Reader for the community 32-byte ``.splat`` format.
 
 Record layout (little endian):
   bytes  0-11  position, 3 x float32
@@ -13,11 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DomainError, FileFormatError
-from ..sampler import quantize_colours
-from ..scene import SH_C0, sigmoid
+from ..errors import FileFormatError
+from ..scene import SH_C0
 from ..types import RawGaussians
-from .atomic import atomic_write
 
 RECORD_SIZE = 32
 
@@ -65,30 +63,3 @@ def load_gaussians_splat(path) -> RawGaussians:
     raw = RawGaussians(position=position, log_scale=log_scale, rotation=rotation,
                        logit_opacity=logit_opacity, sh_dc=sh_dc)
     return raw.drop_invalid(path)
-
-
-def encode_gaussians_splat(raw: RawGaussians) -> bytes:
-    """Encode raw Gaussians back into .splat bytes (inverse of the loader).
-
-    Decode -> encode -> decode is a fixed point: the first decode already
-    lands on the u8-quantised grid, so re-encoding reproduces the bytes.
-    Raises :class:`DomainError` if any row fails :meth:`RawGaussians.valid_rows`.
-    """
-    invalid = int(np.count_nonzero(~raw.valid_rows()))
-    if invalid:
-        raise DomainError(f"cannot encode {invalid} invalid gaussians as .splat "
-                          f"(non-finite value or zero quaternion)")
-    table = np.empty(len(raw), dtype=_RECORD_DTYPE)
-    table["position"] = raw.position.astype(np.float32)
-    table["scale"] = np.exp(raw.log_scale).astype(np.float32)
-    colour = np.clip(0.5 + SH_C0 * raw.sh_dc, 0.0, 1.0)
-    table["rgba"][:, :3] = quantize_colours(colour)
-    table["rgba"][:, 3] = quantize_colours(sigmoid(raw.logit_opacity))
-    quat = np.clip(np.floor(raw.rotation * 128.0 + 128.0 + 0.5), 0, 255)
-    table["quat"] = quat.astype(np.uint8)
-    return table.tobytes()
-
-
-def write_gaussians_splat(raw: RawGaussians, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(encode_gaussians_splat(raw))

@@ -15,7 +15,9 @@ sys.path.insert(0, str(Path(__file__).parent))  # for `import reference`
 # The package sources, for tests that start a fresh interpreter.
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-from splatcloud.scene import activate
+from splatcloud.errors import DomainError
+from splatcloud.sampler import quantize_colours
+from splatcloud.scene import SH_C0, activate, sigmoid
 from splatcloud.types import CameraPose, RawGaussians
 
 try:
@@ -89,6 +91,54 @@ def orbit_pose(image_id, angle, width=64, height=64, focal=60.0, distance=5.0) -
 
 
 # ---------------------------------------------------------------------------
+# Scene fixture writers: the 3DGS PLY and .splat layouts the loaders read
+
+def write_scene_ply(raw: RawGaussians, path: Path, binary: bool = True) -> None:
+    """Write raw Gaussians in the 3DGS PLY layout, non-finite rows included."""
+    n_rest = raw.sh_rest.shape[1]
+    names = ["x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2",
+             *(f"f_rest_{i}" for i in range(n_rest)),
+             "opacity", "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3"]
+    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
+              f"element vertex {len(raw)}"]
+    header += [f"property float {n}" for n in names]
+    header.append("end_header")
+
+    rows = np.concatenate([
+        raw.position, raw.sh_dc, raw.sh_rest,
+        raw.logit_opacity[:, None], raw.log_scale, raw.rotation,
+    ], axis=1).astype(np.float32)
+    if binary:
+        body = rows.tobytes()
+    else:
+        body = "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows).encode()
+    Path(path).write_bytes(("\n".join(header) + "\n").encode("ascii") + body)
+
+
+def encode_splat(raw: RawGaussians) -> bytes:
+    """Encode raw Gaussians as .splat bytes (inverse of the loader).
+
+    Decode -> encode -> decode is a fixed point: the first decode already
+    lands on the u8-quantised grid, so re-encoding reproduces the bytes.
+    Raises :class:`DomainError` if any row fails :meth:`RawGaussians.valid_rows`.
+    """
+    invalid = int(np.count_nonzero(~raw.valid_rows()))
+    if invalid:
+        raise DomainError(f"cannot encode {invalid} invalid gaussians as .splat "
+                          f"(non-finite value or zero quaternion)")
+    table = np.empty(len(raw), dtype=[("position", "<f4", 3), ("scale", "<f4", 3),
+                                      ("rgba", "u1", 4), ("quat", "u1", 4)])
+    table["position"] = raw.position.astype(np.float32)
+    table["scale"] = np.exp(raw.log_scale).astype(np.float32)
+    colour = np.clip(0.5 + SH_C0 * raw.sh_dc, 0.0, 1.0)
+    table["rgba"][:, :3] = quantize_colours(colour)
+    table["rgba"][:, 3] = quantize_colours(sigmoid(raw.logit_opacity))
+    quat = np.clip(np.floor(raw.rotation * 128.0 + 128.0 + 0.5), 0, 255)
+    table["quat"] = quat.astype(np.uint8)
+    return table.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # COLMAP fixture writers (test-side only)
 
 _MODEL_IDS = {"SIMPLE_PINHOLE": 0, "PINHOLE": 1, "SIMPLE_RADIAL": 2}
@@ -108,7 +158,10 @@ def write_colmap_bin(directory: Path, cameras: list[dict], images: list[dict]) -
             fh.write(struct.pack("<idddddddi", image["id"], *image["qvec"],
                                  *image["tvec"], image["camera_id"]))
             fh.write(image["name"].encode("utf-8") + b"\x00")
-            fh.write(struct.pack("<Q", 0))
+            points = image.get("points2d", ())
+            fh.write(struct.pack("<Q", len(points)))
+            for x, y, point3d_id in points:
+                fh.write(struct.pack("<ddq", x, y, point3d_id))
 
 
 def write_colmap_txt(directory: Path, cameras: list[dict], images: list[dict]) -> None:
@@ -123,7 +176,8 @@ def write_colmap_txt(directory: Path, cameras: list[dict], images: list[dict]) -
         for image in images:
             pose = " ".join(repr(float(v)) for v in (*image["qvec"], *image["tvec"]))
             fh.write(f"{image['id']} {pose} {image['camera_id']} {image['name']}\n")
-            fh.write("\n")
+            fh.write(" ".join(f"{x!r} {y!r} {point3d_id}"
+                              for x, y, point3d_id in image.get("points2d", ())) + "\n")
 
 
 def simple_colmap_model():
@@ -138,7 +192,8 @@ def simple_colmap_model():
         {"id": 3, "qvec": (1.0, 0.0, 0.0, 0.0), "tvec": (0.0, 0.0, 0.0),
          "camera_id": 1, "name": "b_first.png"},
         {"id": 1, "qvec": (sq, 0.0, 0.0, sq), "tvec": (0.5, -1.25, 2.0),
-         "camera_id": 2, "name": "a_second.png"},
+         "camera_id": 2, "name": "a_second.png",
+         "points2d": [(10.5, 20.25, 4), (300.0, 7.5, -1)]},
         {"id": 2, "qvec": (sq, sq, 0.0, 0.0), "tvec": (-3.0, 0.25, 1.0),
          "camera_id": 1, "name": "c_third.png"},
     ]

@@ -57,6 +57,17 @@ def read_ply_reference(path):
     return columns
 
 
+def read_cloud(path):
+    """A point-cloud PLY read by :func:`read_ply_reference`, as a ``PointCloud``."""
+    from splatcloud.types import PointCloud
+
+    columns = read_ply_reference(path)
+    normals = [columns[n] for n in ("nx", "ny", "nz")] if "nx" in columns else None
+    return PointCloud(points=np.array([columns[n] for n in "xyz"]).T,
+                      colours=np.array([columns[n] for n in ("red", "green", "blue")]).T,
+                      normals=None if normals is None else np.array(normals).T)
+
+
 # ---------------------------------------------------------------------------
 # sequential full-image compositing (no tiling)
 

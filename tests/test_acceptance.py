@@ -13,6 +13,7 @@ from scipy.stats import chi2
 
 from reference import (
     composite_reference,
+    read_cloud,
     mahalanobis_reference,
     merge_best,
     sor_reference,
@@ -25,11 +26,8 @@ from splatcloud.config import (
     SurfaceConfig,
 )
 from splatcloud.formats import (
-    encode_gaussians_splat,
     load_cameras_colmap,
     load_gaussians_splat,
-    read_pointcloud_ply,
-    write_gaussians_ply,
     write_pointcloud_ply,
 )
 from splatcloud.pipeline import run
@@ -49,6 +47,7 @@ from splatcloud.types import PointCloud, RawGaussians
 
 from conftest import (
     concat,
+    encode_splat,
     frontal_pose,
     orbit_pose,
     random_records,
@@ -56,6 +55,7 @@ from conftest import (
     simple_colmap_model,
     write_colmap_bin,
     write_colmap_txt,
+    write_scene_ply,
 )
 from test_surface import wall_records
 
@@ -261,26 +261,26 @@ def test_08_format_roundtrips(tmp_path):
                            colours=rng.integers(0, 256, (500, 3), dtype=np.uint8))
         path = tmp_path / "cloud.ply"
         write_pointcloud_ply(cloud, path)
-        again = read_pointcloud_ply(path)
+        again = read_cloud(path)
         assert again.points.tobytes() == cloud.points.tobytes()
         assert again.colours.tobytes() == cloud.colours.tobytes()
 
         # .splat: decode -> encode -> decode is a fixed point
         records = random_records(rng, 200)
         splat_path = tmp_path / "scene.splat"
-        splat_path.write_bytes(encode_gaussians_splat(records))
+        splat_path.write_bytes(encode_splat(records))
         first = load_gaussians_splat(splat_path)
-        encoded = encode_gaussians_splat(first)
+        encoded = encode_splat(first)
         (tmp_path / "scene2.splat").write_bytes(encoded)
         second = load_gaussians_splat(tmp_path / "scene2.splat")
-        assert encode_gaussians_splat(second) == encoded
+        assert encode_splat(second) == encoded
         assert first.position.tobytes() == second.position.tobytes()
         assert first.log_scale.tobytes() == second.log_scale.tobytes()
         assert first.rotation.tobytes() == second.rotation.tobytes()
 
-        # gaussian PLY round trip through the writer helper
+        # gaussian PLY round trip through the fixture writer
         ply_path = tmp_path / "gauss.ply"
-        write_gaussians_ply(records, ply_path)
+        write_scene_ply(records, ply_path)
         from splatcloud.formats import load_gaussians_ply
         loaded = load_gaussians_ply(ply_path)
         assert len(loaded) == len(records)
@@ -327,7 +327,7 @@ def test_10_end_to_end_determinism(tmp_path):
                                  log_scale_range=(-4.5, -3.2),
                                  opacity_logit_range=(0.0, 4.0))
         scene_path = tmp_path / "scene.ply"
-        write_gaussians_ply(records, scene_path)
+        write_scene_ply(records, scene_path)
         cameras = [{"id": 1, "model": "PINHOLE", "width": 160, "height": 120,
                     "params": (130.0, 130.0, 80.0, 60.0)}]
         images = [

@@ -8,14 +8,14 @@ import sys
 import numpy as np
 import pytest
 
+from reference import read_cloud
 from splatcloud import pipeline
 from splatcloud.cli import main
 from splatcloud.errors import DomainError, UsageError
-from splatcloud.formats import read_pointcloud_ply, write_gaussians_ply
 from splatcloud.pipeline import detect_format, surface_output_path
 from splatcloud.scene import activate
 
-from conftest import SRC, random_records, write_colmap_bin, write_colmap_txt
+from conftest import SRC, random_records, write_colmap_bin, write_colmap_txt, write_scene_ply
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def scene_ply(tmp_path, rng):
     records = random_records(rng, 25, spread=1.0,
                              opacity_logit_range=(1.0, 3.0))
     path = tmp_path / "scene.ply"
-    write_gaussians_ply(records, path)
+    write_scene_ply(records, path)
     return path
 
 
@@ -87,7 +87,7 @@ def test_happy_path_with_cameras(tmp_path, scene_ply, colmap_dir, capsys):
     assert stats["points"]["requested"] == 2000
     emitted = stats["points"]["emitted"]
     assert 0.98 * 2000 <= emitted <= 2000
-    cloud = read_pointcloud_ply(out)
+    cloud = read_cloud(out)
     assert len(cloud) == emitted
     assert stats["render"]["images"] == 2
     assert stats["render"]["pairs_evaluated"] > 0
@@ -106,7 +106,7 @@ def test_without_cameras_uses_base_colours(tmp_path, scene_ply, caplog):
     from splatcloud.sampler import quantize_colours
     scene = activate(load_gaussians_ply(scene_ply))
     allowed = {tuple(c) for c in quantize_colours(scene.base_colour).tolist()}
-    cloud = read_pointcloud_ply(out)
+    cloud = read_cloud(out)
     got = {tuple(c) for c in cloud.colours.tolist()}
     assert got <= allowed
 
@@ -129,7 +129,7 @@ def test_mesh_prep_writes_surface_file(tmp_path, scene_ply, colmap_dir):
     assert code == 0
     surface = surface_output_path(out)
     assert surface.exists()
-    cloud = read_pointcloud_ply(surface)
+    cloud = read_cloud(surface)
     assert cloud.normals is not None
     assert len(cloud) > 0
 
@@ -181,10 +181,10 @@ def test_non_finite_gaussians_never_reach_the_output(tmp_path, rng):
     records.logit_opacity[17] = np.nan
     records.sh_dc[33, 1] = np.nan
     path = tmp_path / "scene.ply"
-    write_gaussians_ply(records, path)
+    write_scene_ply(records, path)
     out = tmp_path / "cloud.ply"
     assert main([str(path), str(out), "--num-points", "1000", "--threads", "1"]) == 0
-    cloud = read_pointcloud_ply(out)
+    cloud = read_cloud(out)
     assert len(cloud) > 0
     assert np.isfinite(cloud.points).all()
 
@@ -248,7 +248,7 @@ def test_surface_failure_keeps_the_complete_main_cloud(tmp_path, scene_ply, colm
     assert main([str(scene_ply), str(out), "--cameras", str(colmap_dir),
                  "--num-points", "200", "--mesh-prep", "--threads", "1"]) == 1
     assert "[surface]" in capsys.readouterr().err
-    assert len(read_pointcloud_ply(out)) > 0
+    assert len(read_cloud(out)) > 0
     assert not surface_output_path(out).exists()
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
@@ -313,7 +313,7 @@ def test_background_flag_validation(tmp_path, scene_ply):
 def test_filter_flags_apply(tmp_path, rng, capsys):
     records = random_records(rng, 30, spread=3.0)
     path = tmp_path / "scene.ply"
-    write_gaussians_ply(records, path)
+    write_scene_ply(records, path)
     out = tmp_path / "cloud.ply"
     code = main([str(path), str(out), "--num-points", "300", "--threads", "1",
                  "--bbox=-1,-1,-1,1,1,1", "--stats-json"])

@@ -1,5 +1,7 @@
 """COLMAP camera/image loading in both binary and text form."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,27 @@ def test_binary_and_text_identical(tmp_path):
         assert (a.fx, a.fy, a.cx, a.cy) == (b.fx, b.fy, b.cx, b.cy)
         assert (a.width, a.height) == (b.width, b.height)
         np.testing.assert_array_equal(a.world_to_camera, b.world_to_camera)
+
+
+@pytest.mark.parametrize("count", [2**40, 2**62], ids=["2^40", "2^62"])
+def test_2d_point_count_past_the_end_is_format_error(tmp_path, count):
+    write_colmap_bin(tmp_path, *simple_colmap_model())
+    path = tmp_path / "images.bin"
+    data = bytearray(path.read_bytes())
+    at = data.index(b"a_second.png\x00") + len(b"a_second.png\x00")
+    data[at:at + 8] = struct.pack("<Q", count)
+    path.write_bytes(data)
+    with pytest.raises(FileFormatError,
+                       match=rf"images\.bin: image 'a_second\.png' declares {count} 2D points"):
+        load_cameras_colmap(tmp_path)
+
+
+def test_non_utf8_image_name_is_format_error(tmp_path):
+    write_colmap_bin(tmp_path, *simple_colmap_model())
+    path = tmp_path / "images.bin"
+    path.write_bytes(path.read_bytes().replace(b"b_first.png", b"b_first\xff.pn"))
+    with pytest.raises(FileFormatError, match=r"images\.bin: image 3 name is not UTF-8"):
+        load_cameras_colmap(tmp_path)
 
 
 def test_poses_sorted_by_image_name(tmp_path):

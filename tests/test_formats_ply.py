@@ -3,18 +3,13 @@
 import numpy as np
 import pytest
 
-from reference import read_ply_reference
+from reference import read_cloud, read_ply_reference
 from splatcloud.cli import main
 from splatcloud.errors import FileFormatError, TruncatedFileError
-from splatcloud.formats import (
-    load_gaussians_ply,
-    read_pointcloud_ply,
-    write_gaussians_ply,
-    write_pointcloud_ply,
-)
+from splatcloud.formats import load_gaussians_ply, write_pointcloud_ply
 from splatcloud.types import PointCloud
 
-from conftest import random_records
+from conftest import random_records, write_scene_ply
 
 ASCII_FIXTURE = """ply
 format ascii 1.0
@@ -93,7 +88,7 @@ def test_missing_opacity_property(tmp_path):
 def test_binary_truncated_body_reports_offset(tmp_path, rng):
     records = random_records(rng, 4)
     path = tmp_path / "scene.ply"
-    write_gaussians_ply(records, path, binary=True)
+    write_scene_ply(records, path, binary=True)
     data = path.read_bytes()
     path.write_bytes(data[:-10])
     with pytest.raises(TruncatedFileError) as excinfo:
@@ -105,8 +100,8 @@ def test_binary_ascii_agree(tmp_path, rng):
     records = random_records(rng, 16)
     bin_path = tmp_path / "scene_bin.ply"
     txt_path = tmp_path / "scene_ascii.ply"
-    write_gaussians_ply(records, bin_path, binary=True)
-    write_gaussians_ply(records, txt_path, binary=False)
+    write_scene_ply(records, bin_path, binary=True)
+    write_scene_ply(records, txt_path, binary=False)
     loaded_bin = load_gaussians_ply(bin_path)
     loaded_txt = load_gaussians_ply(txt_path)
     assert len(loaded_bin) == len(loaded_txt) == 16
@@ -119,7 +114,7 @@ def test_roundtrip_preserves_order_and_values(tmp_path, rng):
     # loader + writer reproduce float32 inputs exactly, record i stays record i
     records = random_records(rng, 50)
     path = tmp_path / "roundtrip.ply"
-    write_gaussians_ply(records, path)
+    write_scene_ply(records, path)
     loaded = load_gaussians_ply(path)
     assert len(loaded) == len(records)
     np.testing.assert_array_equal(loaded.position,
@@ -135,7 +130,7 @@ def test_writer_and_loader_agree_with_reference_parser(tmp_path, rng):
     records = random_records(rng, 40)
     records.sh_rest = rng.uniform(-1.0, 1.0, (40, 5))
     path = tmp_path / "scene.ply"
-    write_gaussians_ply(records, path)
+    write_scene_ply(records, path)
     columns = read_ply_reference(path)
     loaded = load_gaussians_ply(path)
     for field, names in [
@@ -158,7 +153,7 @@ def test_non_finite_rows_dropped(tmp_path, rng, caplog):
     records.sh_dc[20, 2] = np.nan
     records.rotation[30, 0] = np.inf
     path = tmp_path / "nonfinite.ply"
-    write_gaussians_ply(records, path)
+    write_scene_ply(records, path)
     loaded = load_gaussians_ply(path)
     keep = np.setdiff1d(np.arange(50), [3, 10, 20, 30])
     assert len(loaded) == 46
@@ -208,7 +203,7 @@ def test_bad_element_count_is_format_error(tmp_path, original, line):
 @pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
 def test_duplicate_property_is_format_error(tmp_path, rng, binary):
     path = tmp_path / "scene.ply"
-    write_gaussians_ply(random_records(rng, 3), path, binary=binary)
+    write_scene_ply(random_records(rng, 3), path, binary=binary)
     path.write_bytes(path.read_bytes().replace(b"float rot_1\n", b"float rot_0\n"))
     with pytest.raises(FileFormatError, match="declares property 'rot_0' twice"):
         load_gaussians_ply(path)
@@ -246,7 +241,7 @@ def test_write_single_point_layout_and_roundtrip(tmp_path):
     header_end = data.index(b"end_header\n") + len(b"end_header\n")
     assert len(data) - header_end == 15  # 3 float32 + 3 uchar
 
-    again = read_pointcloud_ply(path)
+    again = read_cloud(path)
     np.testing.assert_array_equal(again.points, cloud.points)
     np.testing.assert_array_equal(again.colours, cloud.colours)
 
@@ -257,7 +252,7 @@ def test_write_empty_cloud(tmp_path):
     path = tmp_path / "empty.ply"
     write_pointcloud_ply(cloud, path)
     assert b"element vertex 0" in path.read_bytes()
-    assert len(read_pointcloud_ply(path)) == 0
+    assert len(read_cloud(path)) == 0
 
 
 def test_write_normals_after_blue(tmp_path, rng):
@@ -276,7 +271,7 @@ def test_write_normals_after_blue(tmp_path, rng):
     blue = header.index("property uchar blue")
     assert header.index("property float nx") > blue
 
-    again = read_pointcloud_ply(path)
+    again = read_cloud(path)
     np.testing.assert_array_equal(again.points, cloud.points)
     np.testing.assert_array_equal(again.colours, cloud.colours)
     np.testing.assert_array_equal(again.normals, cloud.normals)
@@ -307,21 +302,6 @@ def test_positions_bit_exact(tmp_path, rng):
     cloud = PointCloud(points=values, colours=np.zeros((40, 3), dtype=np.uint8))
     path = tmp_path / "bits.ply"
     write_pointcloud_ply(cloud, path)
-    again = read_pointcloud_ply(path)
+    again = read_cloud(path)
     assert again.points.tobytes() == values.tobytes()
 
-
-def test_ascii_point_cloud_reads_like_binary(tmp_path, rng):
-    cloud = PointCloud(points=rng.standard_normal((5, 3)).astype(np.float32),
-                       colours=rng.integers(0, 256, (5, 3), dtype=np.uint8))
-    binary = tmp_path / "binary.ply"
-    write_pointcloud_ply(cloud, binary)
-    header = binary.read_bytes().split(b"end_header\n")[0].decode()
-    rows = "\n".join(" ".join([*(repr(float(v)) for v in p), *(str(c) for c in col)])
-                     for p, col in zip(cloud.points, cloud.colours))
-    text = tmp_path / "text.ply"
-    text.write_text(header.replace("binary_little_endian", "ascii") + "end_header\n"
-                    + rows + "\n")
-    again = read_pointcloud_ply(text)
-    assert again.points.tobytes() == read_pointcloud_ply(binary).points.tobytes()
-    np.testing.assert_array_equal(again.colours, cloud.colours)

@@ -7,13 +7,9 @@ import numpy as np
 import pytest
 
 from splatcloud.errors import DomainError, FileFormatError
-from splatcloud.formats import (
-    encode_gaussians_splat,
-    load_gaussians_splat,
-    write_gaussians_splat,
-)
+from splatcloud.formats import load_gaussians_splat
 
-from conftest import random_records
+from conftest import encode_splat, random_records
 
 
 def pack_record(position, scale, rgba, quat_bytes):
@@ -99,7 +95,7 @@ def test_decode_encode_decode_fixed_point(tmp_path, rng):
     assert len(first) == n or len(first) == n - sum(
         1 for i in range(n) if raw[32 * i + 28:32 * i + 32] == bytes([128] * 4))
 
-    encoded = encode_gaussians_splat(first)
+    encoded = encode_splat(first)
     path2 = tmp_path / "fuzz2.splat"
     path2.write_bytes(encoded)
     second = load_gaussians_splat(path2)
@@ -110,7 +106,7 @@ def test_decode_encode_decode_fixed_point(tmp_path, rng):
     np.testing.assert_array_equal(first.rotation, second.rotation)
     np.testing.assert_array_equal(first.sh_dc, second.sh_dc)
     np.testing.assert_array_equal(first.logit_opacity, second.logit_opacity)
-    assert encode_gaussians_splat(second) == encoded
+    assert encode_splat(second) == encoded
 
 
 def test_write_helper_roundtrip(tmp_path, rng):
@@ -119,7 +115,7 @@ def test_write_helper_roundtrip(tmp_path, rng):
     path.write_bytes(raw)
     records = load_gaussians_splat(path)
     out = tmp_path / "copy.splat"
-    write_gaussians_splat(records, out)
+    out.write_bytes(encode_splat(records))
     assert out.read_bytes() == raw
 
 
@@ -143,12 +139,12 @@ def test_encode_rejects_non_finite_rows(rng, column, index):
     getattr(raw, column)[index] = np.nan
     raw.rotation[6] = 0.0
     with pytest.raises(DomainError, match="cannot encode 2 invalid gaussians"):
-        encode_gaussians_splat(raw)
+        encode_splat(raw)
 
 
 def test_encode_extreme_opacity_logits(rng):
     # finite logits far past +-36 saturate to the end bytes without overflowing exp
     raw = random_records(rng, 2)
     raw.logit_opacity[:] = (-800.0, 800.0)
-    table = np.frombuffer(encode_gaussians_splat(raw), dtype=np.uint8).reshape(2, 32)
+    table = np.frombuffer(encode_splat(raw), dtype=np.uint8).reshape(2, 32)
     assert table[:, 27].tolist() == [0, 255]

@@ -2,13 +2,15 @@
 
 Each loader gets a small valid file that was truncated or had bytes
 overwritten (at random, or with special text or float values); a PLY header
-may also declare more vertices than the body holds, or big-endian data. It
+may also declare more vertices than the body holds, or big-endian data, and
+a COLMAP ``images.bin`` more 2D points than an image holds. It
 must load, with only finite rows, or raise a ``SplatCloudError`` subclass;
 any other exception, including a numpy RuntimeWarning, fails the test.
 """
 
 import functools
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -24,11 +26,16 @@ from splatcloud.formats import (
     load_cameras_nerf_json,
     load_gaussians_ply,
     load_gaussians_splat,
-    write_gaussians_ply,
-    write_gaussians_splat,
 )
 
-from conftest import random_records, simple_colmap_model, write_colmap_txt
+from conftest import (
+    encode_splat,
+    random_records,
+    simple_colmap_model,
+    write_colmap_bin,
+    write_colmap_txt,
+    write_scene_ply,
+)
 
 ROWS = 12
 
@@ -45,10 +52,11 @@ def sources() -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
         raw = random_records(np.random.default_rng(7), ROWS)
-        write_gaussians_ply(raw, directory / "binary.ply")
-        write_gaussians_ply(raw, directory / "ascii.ply", binary=False)
-        write_gaussians_splat(raw, directory / "scene.splat")
+        write_scene_ply(raw, directory / "binary.ply")
+        write_scene_ply(raw, directory / "ascii.ply", binary=False)
+        (directory / "scene.splat").write_bytes(encode_splat(raw))
         write_colmap_txt(directory, *simple_colmap_model())
+        write_colmap_bin(directory, *simple_colmap_model())
         (directory / "transforms.json").write_text(json.dumps({
             "camera_angle_x": 0.9,
             "frames": [{"file_path": f"r_{i}", "w": 64, "h": 48,
@@ -124,6 +132,26 @@ def test_damaged_colmap_text_loads_or_fails_typed(workdir, data):
         source = sources()[name]
         (workdir / name).write_bytes(data.draw(damaged(source)) if name == target else source)
     loads_or_fails_typed(load_cameras_colmap, workdir)
+
+
+@given(data=st.data())
+def test_damaged_colmap_binary_loads_or_fails_typed(workdir, data):
+    # a directory of its own: the loader prefers the binary pair over the text one
+    directory = workdir / "binary"
+    directory.mkdir(exist_ok=True)
+    target = data.draw(st.sampled_from(["cameras.bin", "images.bin"]))
+    for name in ("cameras.bin", "images.bin"):
+        source = sources()[name]
+        if name == target:
+            if name == "images.bin" and data.draw(st.booleans()):
+                # more 2D points than the image holds
+                image = data.draw(st.sampled_from([b"a_second.png", b"b_first.png"]))
+                at = source.index(image + b"\x00") + len(image) + 1
+                count = data.draw(st.integers(3, 2**62))
+                source = source[:at] + struct.pack("<Q", count) + source[at + 8:]
+            source = data.draw(damaged(source))
+        (directory / name).write_bytes(source)
+    loads_or_fails_typed(load_cameras_colmap, directory)
 
 
 @given(data=st.data())

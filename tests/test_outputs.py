@@ -11,17 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from splatcloud.formats import write_gaussians_ply, write_gaussians_splat, write_pointcloud_ply
+from splatcloud.formats import write_pointcloud_ply
 from splatcloud.renderer import write_ppm
 from splatcloud.types import PointCloud
 
-from conftest import SRC, random_records
+from conftest import SRC
 
 WRITERS = {
     "pointcloud.ply": lambda rng, path: write_pointcloud_ply(
         PointCloud(points=rng.normal(size=(8, 3)), colours=rng.integers(0, 256, (8, 3))), path),
-    "gaussians.ply": lambda rng, path: write_gaussians_ply(random_records(rng, 8), path),
-    "gaussians.splat": lambda rng, path: write_gaussians_splat(random_records(rng, 8), path),
     "render.ppm": lambda rng, path: write_ppm(path, rng.uniform(0.0, 1.0, (4, 5, 3))),
 }
 

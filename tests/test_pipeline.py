@@ -4,14 +4,12 @@ import weakref
 
 from splatcloud import pipeline
 from splatcloud.config import PipelineConfig
-from splatcloud.formats import write_gaussians_ply
-
-from conftest import random_records
+from conftest import random_records, write_scene_ply
 
 
 def test_loaded_gaussians_are_released_before_sampling(tmp_path, rng, monkeypatch):
     path = tmp_path / "scene.ply"
-    write_gaussians_ply(random_records(rng, 20), path)
+    write_scene_ply(random_records(rng, 20), path)
     activate, generate_pointcloud = pipeline.activate, pipeline.generate_pointcloud
     loaded, alive_when_sampling = [], []
 
