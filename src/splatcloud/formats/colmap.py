@@ -55,7 +55,7 @@ class _Image:
 def _read_exact(fh, count: int, what: str) -> bytes:
     data = fh.read(count)
     if len(data) != count:
-        raise FileFormatError(f"unexpected end of file while reading {what}")
+        raise FileFormatError(f"{fh.name}: unexpected end of file while reading {what}")
     return data
 
 

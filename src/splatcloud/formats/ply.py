@@ -41,6 +41,9 @@ _REQUIRED_PROPERTIES = (
 
 _F_REST = re.compile(r"^f_rest_(\d+)$")
 
+# Vertex rows interleaved and written at once by write_pointcloud_ply.
+WRITE_BLOCK_ROWS = 1 << 16
+
 
 @dataclass
 class _Element:
@@ -214,35 +217,26 @@ def write_pointcloud_ply(cloud: PointCloud, path) -> None:
 
     Properties are x,y,z (float32), red,green,blue (uchar) and, when the
     cloud carries normals, nx,ny,nz (float32) after blue. Re-parsing the
-    file reproduces positions bit-exactly and colours exactly.
+    file reproduces positions bit-exactly and colours exactly. The vertex
+    table is filled and written ``WRITE_BLOCK_ROWS`` rows at a time, so the
+    writer holds one block beside the cloud, not a second copy of it.
     """
-    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
-              ("red", "u1"), ("green", "u1"), ("blue", "u1")]
-    header = [
-        "ply",
-        "format binary_little_endian 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
-    ]
+    groups = [(("x", "y", "z"), "float", cloud.points),
+              (("red", "green", "blue"), "uchar", cloud.colours)]
     if cloud.normals is not None:
-        fields += [("nx", "<f4"), ("ny", "<f4"), ("nz", "<f4")]
-        header += ["property float nx", "property float ny", "property float nz"]
+        groups.append((("nx", "ny", "nz"), "float", cloud.normals))
+    properties = [(name, ply_type) for names, ply_type, _ in groups for name in names]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}"]
+    header += [f"property {ply_type} {name}" for name, ply_type in properties]
     header.append("end_header")
 
-    table = np.empty(len(cloud), dtype=np.dtype(fields))
-    for j, axis in enumerate("xyz"):
-        table[axis] = cloud.points[:, j]
-    for j, channel in enumerate(("red", "green", "blue")):
-        table[channel] = cloud.colours[:, j]
-    if cloud.normals is not None:
-        for j, axis in enumerate(("nx", "ny", "nz")):
-            table[axis] = cloud.normals[:, j]
-
+    dtype = np.dtype([(name, _SCALAR_TYPES[ply_type][0]) for name, ply_type in properties])
+    table = np.empty(min(len(cloud), WRITE_BLOCK_ROWS), dtype=dtype)
     with atomic_write(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fh.write(table)  # through the buffer protocol: no bytes copy
+        for lo in range(0, len(cloud), WRITE_BLOCK_ROWS):
+            block = table[:min(WRITE_BLOCK_ROWS, len(cloud) - lo)]
+            for names, _, values in groups:
+                for j, name in enumerate(names):
+                    block[name] = values[lo:lo + len(block), j]
+            fh.write(block)  # through the buffer protocol: no bytes copy

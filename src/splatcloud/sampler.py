@@ -23,6 +23,10 @@ log = logging.getLogger(__name__)
 BIN_THRESHOLD = 50
 BIN_WIDTH = 5
 
+# Points transformed at once by one worker, and rows moved at once when the
+# cloud's gaps are closed: bounds the float64 temporaries of a batch.
+SAMPLE_BLOCK_POINTS = 1 << 15
+
 
 @dataclass
 class SampleBatch:
@@ -105,8 +109,13 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     slot is redrawn up to ``max_rounds`` total attempts. Slots still pending
     afterwards are dropped, so a batch may emit fewer points than allocated.
 
-    Returns (points, colours, accepted_per_gaussian, rejected_draws); points
-    are grouped by Gaussian in index order.
+    All of ``z`` is drawn before any redraw, which fixes the generator's
+    stream; the transform, the accepted-row selection and the float32 cast
+    then run over blocks of about ``SAMPLE_BLOCK_POINTS`` points, so a batch
+    holds one float64 copy (its draws) at full size.
+
+    Returns (points float32, colours uint8, accepted_per_gaussian,
+    rejected_draws); points are grouped by Gaussian in index order.
     """
     if sigma_threshold <= 0:
         raise DomainError(f"sigma threshold must be > 0, got {sigma_threshold}")
@@ -133,14 +142,20 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
         rejected += int(np.count_nonzero(~accept))
 
     accepted = ~pending
-    chol = scene.cov_cholesky[indices]
-    points = scene.position[indices, None, :] + np.einsum("kij,kcj->kci", chol, z)
     accepted_counts = accepted.sum(axis=1)
+    points = np.empty((int(accepted_counts.sum()), 3), dtype=np.float32)
+    row = 0
+    per_block = max(1, SAMPLE_BLOCK_POINTS // count)
+    for lo in range(0, k, per_block):
+        block = indices[lo:lo + per_block]
+        moved = scene.position[block, None, :] \
+            + np.einsum("kij,kcj->kci", scene.cov_cholesky[block], z[lo:lo + per_block])
+        kept = moved[accepted[lo:lo + per_block]]
+        points[row:row + len(kept)] = kept  # the one float64 -> float32 cast
+        row += len(kept)
 
-    colours_unit = scene.point_colours()[indices]
-    colours = quantize_colours(colours_unit)
-    per_point_colours = np.repeat(colours, accepted_counts, axis=0)
-    return points[accepted], per_point_colours, accepted_counts, rejected
+    colours = quantize_colours(scene.point_colours()[indices])
+    return points, np.repeat(colours, accepted_counts, axis=0), accepted_counts, rejected
 
 
 def quantize_colours(colours_unit: np.ndarray) -> np.ndarray:
@@ -163,13 +178,14 @@ def build_batches(counts: np.ndarray, seed: int) -> list[SampleBatch]:
 
 
 def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
-    """Shared core: allocate, sample all batches, place each point by offset.
+    """Shared core: allocate, then sample every batch straight into the cloud.
 
-    Each worker casts its batch's points to float32 as soon as they are
-    drawn. The batches are then scattered into one pre-sized cloud: row j of
-    Gaussian g lands at ``starts[g] + j``, where ``starts`` is the exclusive
-    cumulative sum of the accepted counts. Points so arrive in Gaussian-index
-    order without a sort, and each batch is released once it is placed.
+    The cloud is sized by the allocation: draw j of Gaussian g lands at row
+    ``starts[g] + j``, where ``starts`` is the exclusive cumulative sum of
+    the allocated counts. Each worker places its batch's rows itself, so
+    points arrive in Gaussian-index order without a sort and no batch result
+    is held. Draws that were dropped leave gaps at the end of their
+    Gaussian's rows, which :func:`_close_gaps` then closes in place.
 
     Returns (points float32, colours uint8, accepted per Gaussian, stats).
     """
@@ -177,26 +193,15 @@ def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
         raise DomainError("cannot sample from an empty scene")
     volumes = gaussian_volume(scene.log_scale)
     counts = allocate(volumes, total, "exact" if config.exact else "binned")
-    batches = build_batches(counts, config.seed)
-
-    def run(batch: SampleBatch):
-        points, colours, accepted, rejected = sample_batch(
-            batch, scene, config.sigma, config.max_resample_rounds)
-        return points.astype(np.float32), colours, accepted, rejected
-
-    results = map_threads(run, batches, config.threads)
-
+    starts = np.cumsum(counts) - counts
+    allocated = int(counts.sum())
+    points = np.empty((allocated, 3), dtype=np.float32)
+    colours = np.empty((allocated, 3), dtype=np.uint8)
     accepted = np.zeros(scene.count, dtype=np.int64)
-    for batch, (_, _, batch_accepted, _) in zip(batches, results):
-        accepted[batch.gaussian_indices] = batch_accepted
-    starts = np.cumsum(accepted) - accepted
-    stats = SampleStats(requested=total, allocated=int(counts.sum()),
-                        emitted=int(accepted.sum()))
-    points = np.empty((stats.emitted, 3), dtype=np.float32)
-    colours = np.empty((stats.emitted, 3), dtype=np.uint8)
-    for i, batch in enumerate(batches):
-        batch_points, batch_colours, batch_accepted, rejected = results[i]
-        results[i] = None  # release the batch once it is placed
+
+    def run(batch: SampleBatch) -> int:
+        batch_points, batch_colours, batch_accepted, rejected = sample_batch(
+            batch, scene, config.sigma, config.max_resample_rounds)
         # a batch's rows are its Gaussians' runs back to back: shift each run
         # from its start within the batch to its Gaussian's start in the cloud
         batch_starts = np.cumsum(batch_accepted) - batch_accepted
@@ -204,8 +209,36 @@ def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
             + np.arange(len(batch_points))
         points[rows] = batch_points
         colours[rows] = batch_colours
-        stats.rejected += rejected
-    return points, colours, accepted, stats
+        accepted[batch.gaussian_indices] = batch_accepted
+        return rejected
+
+    rejected = sum(map_threads(run, build_batches(counts, config.seed), config.threads))
+    stats = SampleStats(requested=total, allocated=allocated, emitted=int(accepted.sum()),
+                        rejected=rejected)
+    _close_gaps((points, colours), starts, counts, accepted)
+    return points[:stats.emitted], colours[:stats.emitted], accepted, stats
+
+
+def _close_gaps(columns, starts: np.ndarray, counts: np.ndarray,
+                accepted: np.ndarray) -> None:
+    """Move every Gaussian's accepted rows to the front of the cloud, in place.
+
+    Gaussian g holds rows ``starts[g]`` to ``starts[g] + accepted[g]`` and
+    leaves ``counts[g] - accepted[g]`` unused rows after them. Only the short
+    Gaussians are listed: the rows between one gap and the next move up by
+    the shortfall of every gap before them. Rows before the first gap stay
+    where they are; the rest move one block of rows at a time, in increasing
+    order, so no block reads a row an earlier block overwrote.
+    """
+    short = np.nonzero(accepted < counts)[0]
+    run_from = starts[short] + counts[short]
+    run_to = np.append(starts[short[1:]] + accepted[short[1:]], len(columns[0]))
+    shifts = np.cumsum(counts[short] - accepted[short])
+    for first, end, shift in zip(run_from.tolist(), run_to.tolist(), shifts.tolist()):
+        for lo in range(first, end, SAMPLE_BLOCK_POINTS):
+            hi = min(lo + SAMPLE_BLOCK_POINTS, end)
+            for column in columns:
+                column[lo - shift:hi - shift] = column[lo:hi]
 
 
 def generate_pointcloud(scene: GaussianScene, total: int,

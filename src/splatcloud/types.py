@@ -16,6 +16,10 @@ from .errors import DomainError
 
 log = logging.getLogger(__name__)
 
+# Largest image width or height a camera may declare; the colour pass
+# allocates whole images, so a corrupt size must fail at load instead.
+MAX_IMAGE_SIDE = 65535
+
 
 def take_rows(table, selector):
     """The rows ``selector`` picks from every column of a columnar dataclass.
@@ -129,6 +133,9 @@ class CameraPose:
         if not (np.isfinite([self.fx, self.fy, self.cx, self.cy]).all() and np.isfinite(m).all()):
             raise DomainError(
                 f"pose {self.image_id}: intrinsics and world_to_camera must be finite")
+        if not (1 <= self.width <= MAX_IMAGE_SIDE and 1 <= self.height <= MAX_IMAGE_SIDE):
+            raise DomainError(f"pose {self.image_id}: image size {self.width}x{self.height} "
+                              f"outside 1..{MAX_IMAGE_SIDE} pixels per side")
         if not (self.fx > 0 and self.fy > 0):
             raise DomainError(f"focal lengths must be positive (fx={self.fx}, fy={self.fy})")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):

@@ -57,6 +57,18 @@ def read_ply_reference(path):
     return columns
 
 
+def encode_cloud_reference(points, colours):
+    """Binary PLY bytes of a coloured cloud, packed one vertex at a time."""
+    header = "\n".join([
+        "ply", "format binary_little_endian 1.0", f"element vertex {len(points)}",
+        "property float x", "property float y", "property float z",
+        "property uchar red", "property uchar green", "property uchar blue",
+        "end_header"]) + "\n"
+    body = b"".join(struct.pack("<3f3B", *map(float, point), *map(int, colour))
+                    for point, colour in zip(points, colours))
+    return header.encode("ascii") + body
+
+
 def read_cloud(path):
     """A point-cloud PLY read by :func:`read_ply_reference`, as a ``PointCloud``."""
     from splatcloud.types import PointCloud

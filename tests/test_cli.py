@@ -216,6 +216,36 @@ def test_non_finite_camera_fails_at_load(tmp_path, scene_ply, capsys, broken, na
     assert not out.exists()
 
 
+def write_oversized_cameras(directory, reader):
+    """A one-image model of ``reader``'s format whose image is too large."""
+    camera = {"id": 1, "model": "SIMPLE_PINHOLE", "width": 64, "height": 64,
+              "params": (60.0, 32.0, 32.0)}
+    images = [{"id": 7, "qvec": (1.0, 0.0, 0.0, 0.0), "tvec": (0.0, 0.0, 5.0),
+               "camera_id": 1, "name": "front.png"}]
+    if reader == "colmap-bin":
+        write_colmap_bin(directory, [dict(camera, width=2**40)], images)
+        return directory, "pose 7: image size 1099511627776x64"
+    if reader == "colmap-txt":
+        write_colmap_txt(directory, [dict(camera, height=2**40)], images)
+        return directory, "pose 7: image size 64x1099511627776"
+    directory.mkdir()
+    path = directory / "transforms.json"
+    path.write_text(json.dumps({"fl_x": 60.0, "w": 65536, "h": 64, "cx": 32.0, "frames": [
+        {"file_path": "front", "transform_matrix": np.eye(4).tolist()}]}))
+    return path, "pose 0: image size 65536x64"
+
+
+@pytest.mark.parametrize("reader", ["colmap-bin", "colmap-txt", "nerf"])
+def test_oversized_camera_fails_at_load(tmp_path, scene_ply, capsys, reader):
+    cameras, named = write_oversized_cameras(tmp_path / "cameras", reader)
+    out = tmp_path / "cloud.ply"
+    assert main([str(scene_ply), str(out), "--cameras", str(cameras),
+                 "--num-points", "200", "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "[load-cameras]" in err and named in err
+    assert not out.exists()
+
+
 def test_mesh_prep_without_cameras_fails_and_cleans_up(tmp_path, scene_ply):
     out = tmp_path / "cloud.ply"
     code = main([str(scene_ply), str(out), "--num-points", "200",

@@ -69,6 +69,19 @@ def test_non_utf8_image_name_is_format_error(tmp_path):
         load_cameras_colmap(tmp_path)
 
 
+@pytest.mark.parametrize("name, keep, what", [
+    ("cameras.bin", 20, "camera header"),
+    ("images.bin", 50, "image header"),
+])
+def test_truncated_binary_file_error_names_the_file(tmp_path, name, keep, what):
+    write_colmap_bin(tmp_path, *simple_colmap_model())
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(FileFormatError) as caught:
+        load_cameras_colmap(tmp_path)
+    assert str(caught.value) == f"{path}: unexpected end of file while reading {what}"
+
+
 def test_poses_sorted_by_image_name(tmp_path):
     cameras, images = simple_colmap_model()
     write_colmap_bin(tmp_path, cameras, images)

@@ -1,6 +1,6 @@
-"""Memory guards: sampling and writing stay within a few output sizes,
-outlier removal holds a few tens of bytes per point, and a row subset holds
-little more than the rows it keeps.
+"""Memory guards: sampling holds at most twice the output and writing a
+small part of it, outlier removal holds a few tens of bytes per point, and a
+row subset holds little more than the rows it keeps.
 
 numpy reports its buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once, measured in-process.
@@ -37,6 +37,8 @@ def varied_scene(n, seed=12):
 def test_sampling_and_writing_peaks_stay_near_output_size(tmp_path, exact):
     scene = varied_scene(20_000)
     config = SamplerConfig(exact=exact, seed=4, threads=2)
+    # the cloud itself is 1x; the rest is the batches in flight and the
+    # write's one block of rows
     tracemalloc.start()
     try:
         cloud, _ = generate_pointcloud(scene, 1_000_000, config)
@@ -49,9 +51,9 @@ def test_sampling_and_writing_peaks_stay_near_output_size(tmp_path, exact):
         tracemalloc.stop()
     output_bytes = POINT_BYTES * len(cloud)
     assert len(cloud) > 900_000
-    assert sample_peak <= 3.0 * output_bytes, \
+    assert sample_peak <= 2.0 * output_bytes, \
         f"sampling peaked at {sample_peak / output_bytes:.2f}x the output"
-    assert write_peak - with_cloud <= 1.25 * output_bytes, \
+    assert write_peak - with_cloud <= 0.25 * output_bytes, \
         f"writing peaked at {(write_peak - with_cloud) / output_bytes:.2f}x the output"
 
 

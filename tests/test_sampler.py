@@ -7,12 +7,15 @@ import pytest
 from scipy.stats import chi2
 
 from reference import (
+    encode_cloud_reference,
     largest_remainder_reference,
     mahalanobis_reference,
     sample_scene_reference,
 )
+from splatcloud import sampler
 from splatcloud.config import SamplerConfig
 from splatcloud.errors import DomainError
+from splatcloud.formats import ply, write_pointcloud_ply
 from splatcloud.sampler import (
     SampleBatch,
     allocate,
@@ -320,6 +323,26 @@ def test_pointcloud_matches_sorted_reference(threads, exact):
     assert stats.emitted < stats.allocated // 2
     assert cloud.points.tobytes() == points.tobytes()
     assert cloud.colours.tobytes() == colours.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("rounds", [1, 5])
+def test_blocked_sampling_and_writing_keep_every_byte(tmp_path, monkeypatch, threads, rounds):
+    # the reference draws with the default blocks, which hold each of these
+    # batches whole; a block of 7 splits every batch and every write, and one
+    # draw round leaves gaps after almost every Gaussian's rows
+    scene = random_scene(np.random.default_rng(909), 300, log_scale_range=(-5.0, 0.5))
+    config = SamplerConfig(sigma=2.0, max_resample_rounds=rounds, exact=True, seed=8,
+                           threads=threads)
+    points, colours, _ = sample_scene_reference(scene, 20_000, config)
+    monkeypatch.setattr(sampler, "SAMPLE_BLOCK_POINTS", 7)
+    monkeypatch.setattr(ply, "WRITE_BLOCK_ROWS", 7)
+    cloud, stats = generate_pointcloud(scene, 20_000, config)
+    assert stats.emitted < stats.allocated
+    assert cloud.points.tobytes() == points.tobytes()
+    assert cloud.colours.tobytes() == colours.tobytes()
+    write_pointcloud_ply(cloud, tmp_path / "cloud.ply")
+    assert (tmp_path / "cloud.ply").read_bytes() == encode_cloud_reference(points, colours)
 
 
 def test_colours_use_rendered_best(rng):

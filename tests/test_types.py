@@ -36,6 +36,18 @@ def test_principal_point_must_be_inside():
         make_pose(cy=0.0)
 
 
+@pytest.mark.parametrize("size", [(0, 480), (640, 0), (65536, 480), (640, 2**40)])
+def test_image_size_outside_one_to_65535_rejected_naming_the_image(size):
+    width, height = size
+    with pytest.raises(DomainError, match=f"pose 3: image size {width}x{height} outside"):
+        make_pose(image_id=3, width=width, height=height, cx=0.5, cy=0.5)
+
+
+def test_largest_image_size_accepted():
+    pose = make_pose(width=65535, height=65535)
+    assert (pose.width, pose.height) == (65535, 65535)
+
+
 def test_non_orthonormal_rotation_rejected():
     bad = np.eye(4)
     bad[0, 0] = 2.0
