@@ -116,10 +116,10 @@ def _parse_header(data: bytes, path: Path):
 
 
 def _read_vertex_table(path: Path):
-    """Parse the vertex element into a dict of property name -> 1-D column.
+    """Parse the vertex element into a structured array, one field per property.
 
-    Binary columns are views into the file bytes in their stored type; ascii
-    columns are float64.
+    A binary table is a view into the file bytes in the stored types; an
+    ascii table holds float64 fields.
     """
     data = Path(path).read_bytes()
     fmt, elements, offset = _parse_header(data, Path(path))
@@ -147,8 +147,7 @@ def _read_vertex_table(path: Path):
                 f"{path}: vertex data needs {needed} bytes from offset {offset}",
                 byte_offset=len(data),
             )
-        table = np.frombuffer(data, dtype=dtype, count=vertex.count, offset=offset)
-        return vertex, {n: table[n] for n, _ in vertex.properties}
+        return vertex, np.frombuffer(data, dtype=dtype, count=vertex.count, offset=offset)
 
     # ascii: one line per row for every element, in declaration order
     body_lines = data[offset:].decode("ascii", errors="replace").splitlines()
@@ -163,7 +162,7 @@ def _read_vertex_table(path: Path):
             byte_offset=len(data),
         )
     nprops = len(vertex.properties)
-    columns = np.empty((vertex.count, nprops), dtype=np.float64)
+    table = np.empty(vertex.count, dtype=[(n, "<f8") for n, _ in vertex.properties])
     for i in range(vertex.count):
         tokens = body_lines[row + i].split()
         if len(tokens) != nprops:
@@ -171,10 +170,10 @@ def _read_vertex_table(path: Path):
                 f"{path}: vertex line {i} has {len(tokens)} values, expected {nprops}"
             )
         try:
-            columns[i] = [float(t) for t in tokens]
+            table[i] = tuple(float(t) for t in tokens)
         except ValueError as err:
             raise FileFormatError(f"{path}: vertex line {i}: {err}") from err
-    return vertex, {n: columns[:, j] for j, (n, _) in enumerate(vertex.properties)}
+    return vertex, table
 
 
 def load_gaussians_ply(path) -> RawGaussians:
@@ -185,7 +184,7 @@ def load_gaussians_ply(path) -> RawGaussians:
     are dropped with a warning (:meth:`RawGaussians.drop_invalid`).
     """
     path = Path(path)
-    vertex, cols = _read_vertex_table(path)
+    vertex, table = _read_vertex_table(path)
     names = {n for n, _ in vertex.properties}
     for required in _REQUIRED_PROPERTIES:
         if required not in names:
@@ -196,16 +195,20 @@ def load_gaussians_ply(path) -> RawGaussians:
         key=lambda n: int(_F_REST.match(n).group(1)),
     )
 
+    @np.errstate(invalid="ignore")  # widening a signalling NaN; drop_invalid removes its row
     def stack(columns):
-        # (k, N) then transposed: RawGaussians makes the one float64 (N, k) copy
-        return np.stack([cols[n] for n in columns]).T if columns \
-            else np.zeros((vertex.count, 0))
+        if not columns:
+            return np.zeros((vertex.count, 0))
+        # one cast of the picked fields to packed float64 fields, read as (N, k):
+        # the one float64 copy, written row by row
+        packed = np.dtype([(name, np.float64) for name in columns])
+        return table[columns].astype(packed).view(np.float64).reshape(-1, len(columns))
 
     raw = RawGaussians(
         position=stack(["x", "y", "z"]),
         log_scale=stack(["scale_0", "scale_1", "scale_2"]),
         rotation=stack([f"rot_{i}" for i in range(4)]),
-        logit_opacity=cols["opacity"],
+        logit_opacity=table["opacity"],
         sh_dc=stack(["f_dc_0", "f_dc_1", "f_dc_2"]),
         sh_rest=stack(rest_names),
     )

@@ -20,6 +20,10 @@ SH_C0 = 0.28209479177387814
 CHOLESKY_EPS = 1e-8
 CHOLESKY_ATTEMPTS = 4
 
+# Rows whose covariances activate assembles at once: bounds the (rows, 3, 3)
+# float64 temporaries of the assembly and the epsilon ladder.
+ACTIVATE_BLOCK_ROWS = 1 << 12
+
 # sigmoid(+-36) is still strictly inside (0, 1) in float64.
 _LOGIT_LIMIT = 36.0
 
@@ -197,13 +201,21 @@ def activate(raw: RawGaussians) -> GaussianScene:
 
     Applies sigmoid to opacity logits, normalises quaternions, evaluates the
     degree-0 SH colour and assembles covariances. Gaussians whose covariance
-    cannot be factorised are dropped with a warning.
+    cannot be factorised are dropped with a warning. Covariances are
+    assembled ``ACTIVATE_BLOCK_ROWS`` rows at a time straight into the
+    scene's columns, so no full-size temporary is held beside them.
     """
     if len(raw) == 0:
         raise DomainError("cannot activate an empty set of gaussians")
 
     rotation_unit = raw.rotation / np.linalg.norm(raw.rotation, axis=1, keepdims=True)
-    covariance, chol, ok = _regularised_covariances(raw.log_scale, rotation_unit)
+    covariance = np.empty((len(raw), 3, 3))
+    chol = np.empty((len(raw), 3, 3))
+    ok = np.empty(len(raw), dtype=bool)
+    for lo in range(0, len(raw), ACTIVATE_BLOCK_ROWS):
+        rows = slice(lo, lo + ACTIVATE_BLOCK_ROWS)
+        covariance[rows], chol[rows], ok[rows] = _regularised_covariances(
+            raw.log_scale[rows], rotation_unit[rows])
     scene = GaussianScene(
         position=raw.position,
         log_scale=raw.log_scale,

@@ -75,9 +75,10 @@ def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
     """Drop points whose mean k-NN distance exceeds mean + std_ratio * std.
 
     Exact nearest neighbours via a KD-tree queried on ``workers`` threads,
-    ``SOR_BLOCK_ROWS`` points at a time; each query's result is independent
-    of the split, so the survivors (in their original order) are the same
-    for any worker count and block size.
+    ``SOR_BLOCK_ROWS`` points at a time in the tree's own point order; each
+    query's result is independent of the split and the order, so the
+    survivors (in their original order) are the same for any worker count
+    and block size.
     """
     if k_neighbours < 1:
         raise DomainError(f"k_neighbours must be >= 1, got {k_neighbours}")
@@ -93,9 +94,10 @@ def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
     tree = cKDTree(points)
     mean_distance = np.empty(len(points))
     for start in range(0, len(points), SOR_BLOCK_ROWS):
-        block = slice(start, start + SOR_BLOCK_ROWS)
-        distances = tree.query(points[block], k=k_neighbours + 1, workers=workers)[0]
-        mean_distance[block] = distances[:, 1:].mean(axis=1)  # column 0 is the point itself
+        # in the tree's leaf order, neighbouring queries walk the same nodes
+        rows = tree.indices[start:start + SOR_BLOCK_ROWS]
+        distances = tree.query(points[rows], k=k_neighbours + 1, workers=workers)[0]
+        mean_distance[rows] = distances[:, 1:].mean(axis=1)  # column 0 is the point itself
         del distances  # free this block before the next one is queried
     del tree, points  # free before take() copies the survivors
     threshold = mean_distance.mean() + std_ratio * mean_distance.std()

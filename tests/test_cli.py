@@ -189,6 +189,23 @@ def test_non_finite_gaussians_never_reach_the_output(tmp_path, rng):
     assert np.isfinite(cloud.points).all()
 
 
+@pytest.mark.parametrize("sigma", ["3", "inf"])
+def test_gaussian_at_the_float32_limit_writes_only_finite_points(tmp_path, rng, sigma):
+    # the first Gaussian is so large that it takes nearly every point, and
+    # about a third of its draws land past float32's largest value
+    records = random_records(rng, 3)
+    records.position[0] = (3.4028e38, 0.0, 0.0)
+    records.log_scale[0] = 78.0
+    path = tmp_path / "scene.ply"
+    write_scene_ply(records, path)
+    out = tmp_path / "cloud.ply"
+    assert main([str(path), str(out), "--num-points", "999", "--sigma", sigma,
+                 "--threads", "1"]) == 0
+    cloud = read_cloud(out)
+    assert 0 < len(cloud) < 999
+    assert np.isfinite(cloud.points).all()
+
+
 @pytest.mark.parametrize("broken, named", [
     ({"tvec": (0.0, float("nan"), 5.0)}, "pose 2"),
     ({"params": (float("inf"), 60.0, 32.0, 32.0)}, "pose 1"),

@@ -1,6 +1,7 @@
-"""Memory guards: sampling holds at most twice the output and writing a
-small part of it, outlier removal holds a few tens of bytes per point, and a
-row subset holds little more than the rows it keeps.
+"""Memory guards: activation holds little beyond the scene it builds,
+sampling at most twice the output and writing a small part of it, outlier
+removal a few tens of bytes per point, and a row subset little more than
+the rows it keeps.
 
 numpy reports its buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once, measured in-process.
@@ -21,16 +22,42 @@ from splatcloud.types import PointCloud, RawGaussians
 POINT_BYTES = 15  # one output vertex: xyz float32 + rgb uint8
 
 
-def varied_scene(n, seed=12):
-    """``n`` Gaussians whose scales span two orders of magnitude."""
+def varied_raw(n, seed=12):
+    """``n`` raw Gaussians whose scales span two orders of magnitude."""
     rng = np.random.default_rng(seed)
-    return activate(RawGaussians(
+    return RawGaussians(
         position=rng.uniform(-1.0, 1.0, (n, 3)),
         log_scale=rng.uniform(-5.0, -0.5, (n, 3)),
         rotation=rng.standard_normal((n, 4)),
         logit_opacity=rng.uniform(-1.0, 3.0, n),
         sh_dc=rng.uniform(-1.5, 1.5, (n, 3)),
-    ))
+    )
+
+
+def varied_scene(n, seed=12):
+    return activate(varied_raw(n, seed))
+
+
+def test_activate_memory_does_not_grow_with_n():
+    # the scene's new columns are the output; covariances are assembled one
+    # block of rows at a time, so only the small per-row temporaries (the
+    # quaternion norms, the colour clamp) grow with n. Seven full-size
+    # (n, 3, 3) temporaries would cost about 380 bytes per Gaussian
+    above_output = {}
+    for n in (20_000, 80_000):
+        raw = varied_raw(n)
+        tracemalloc.start()
+        try:
+            scene = activate(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = sum(column.nbytes for column in (
+            scene.rotation_unit, scene.opacity, scene.covariance, scene.cov_cholesky,
+            scene.base_colour))
+        above_output[n] = peak - output
+    slope = (above_output[80_000] - above_output[20_000]) / 60_000
+    assert slope <= 32, f"activate holds {slope:.0f} bytes per Gaussian beyond its output"
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -269,6 +269,51 @@ def test_sample_batch_deterministic(rng):
     np.testing.assert_array_equal(first[2], second[2])
 
 
+@pytest.mark.parametrize("block_points", [7, 1 << 15])
+def test_draws_past_float32_are_dropped_as_rejected(monkeypatch, rng, block_points):
+    # the middle Gaussian's draws reach past float32's largest value on the +x
+    # side; its neighbours' draws come from the same stream either way
+    records = RawGaussians(position=np.zeros((3, 3)), log_scale=np.full((3, 3), -1.0),
+                           rotation=np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),
+                           logit_opacity=np.zeros(3), sh_dc=np.zeros((3, 3)))
+    safe = activate(records)
+    records.position[1, 0] = 3.4028e38
+    records.log_scale[1] = 78.0
+    limit = activate(records)
+    batch = batch_for(limit, 300)
+    monkeypatch.setattr(sampler, "SAMPLE_BLOCK_POINTS", block_points)
+    points, colours, counts, rejected = sample_batch(batch, limit, math.inf, 1)
+    safe_points, _, safe_counts, safe_rejected = sample_batch(batch, safe, math.inf, 1)
+    assert np.isfinite(points).all()
+    assert safe_rejected == 0 and list(safe_counts) == [300, 300, 300]
+    assert counts[0] == counts[2] == 300 and 0 < counts[1] < 300
+    assert rejected == 900 - counts.sum() == len(safe_points) - len(points)
+    assert len(colours) == len(points)
+    assert points[:300].tobytes() == safe_points[:300].tobytes()
+    assert points[-300:].tobytes() == safe_points[-300:].tobytes()
+
+
+def test_sample_batch_alone_gives_the_in_cloud_rows():
+    # one draw round at sigma 1 leaves most Gaussians short, so a batch's rows
+    # in the cloud sit between other batches' rows, after gaps were closed
+    scene = random_scene(np.random.default_rng(707), 200, log_scale_range=(-5.0, 0.5))
+    config = SamplerConfig(sigma=1.0, max_resample_rounds=1, exact=True, seed=3, threads=2)
+    cloud, _ = generate_pointcloud(scene, 10_000, config)
+    counts = allocate(gaussian_volume(scene.log_scale), 10_000, "exact")
+    batches = build_batches(counts, config.seed)
+    alone = [sample_batch(batch, scene, 1.0, 1) for batch in batches]
+    accepted = np.zeros(scene.count, dtype=np.int64)
+    for batch, (_, _, batch_accepted, _) in zip(batches, alone):
+        accepted[batch.gaussian_indices] = batch_accepted
+    assert len(batches) > 10 and accepted.sum() < counts.sum() // 2
+    starts = np.cumsum(accepted) - accepted
+    for batch, (points, colours, _, _) in zip(batches, alone):
+        rows = np.concatenate([np.arange(starts[g], starts[g] + accepted[g])
+                               for g in batch.gaussian_indices])
+        assert cloud.points[rows].tobytes() == points.tobytes()
+        assert cloud.colours[rows].tobytes() == colours.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # generate_pointcloud
 

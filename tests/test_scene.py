@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from splatcloud import scene as scene_module
 from splatcloud.config import FilterConfig
 from splatcloud.errors import DomainError
 from splatcloud.scene import (
@@ -125,6 +126,21 @@ def test_activate_drops_degenerate(rng):
     degenerate = make_record(log_scale=np.array([400.0, 400.0, 400.0]))
     scene = activate(concat(records.take(slice(0, 2)), degenerate, records.take(slice(2, None))))
     assert scene.count == 5
+
+
+@pytest.mark.parametrize("block_rows", [7, 30, 120])
+def test_activate_in_blocks_keeps_every_byte(monkeypatch, rng, block_rows):
+    # rows 6 and 7 sit on both sides of the first edge of a 7-row block; the
+    # default block holds all 30 rows at once
+    records = random_records(rng, 30)
+    records.log_scale[[6, 7, 20]] = 400.0
+    whole = activate(records)
+    monkeypatch.setattr(scene_module, "ACTIVATE_BLOCK_ROWS", block_rows)
+    blocked = activate(records)
+    assert blocked.count == 27
+    for name in ("position", "log_scale", "rotation_unit", "opacity", "covariance",
+                 "cov_cholesky", "base_colour"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def test_quats_to_rotmats_orthonormal(rng):
