@@ -196,5 +196,7 @@ class PipelineConfig(FilterConfig, SurfaceConfig, RenderConfig):
             off = value is None and f.default is None  # e.g. a filter left off
             if check is not None and not off and not check[0](value):
                 raise UsageError(f"{option_flag(option_key(f))} {check[1]}, got {value}")
+        if self.bbox is not None and any(lo > hi for lo, hi in zip(self.bbox[:3], self.bbox[3:])):
+            raise UsageError(f"--bbox min corner must not exceed the max corner, got {self.bbox}")
         if self.mesh_prep and self.input_cameras is None:
             raise UsageError("--mesh-prep requires camera poses (--cameras)")

@@ -5,12 +5,14 @@ blending with a 0.99 alpha clamp, a 1/255 alpha skip, a 1e-4 transmittance
 early-out and a +0.3 pixel low-pass on the projected covariance.
 
 A Gaussian participates at a pixel only when the pixel lies inside the
-Gaussian's integer-clipped 3-sigma screen bounding box. Tile membership is
-derived from the same boxes, and each pixel composites its Gaussians in
-depth order with the same floating-point operations in the same order
-however the image is tiled or a tile is chunked. The rendered planes and
-the per-Gaussian best contributions are therefore byte-identical for any
-tile layout (subdivided or not), chunk size and thread count.
+Gaussian's integer-clipped 3-sigma screen bounding box. Tiles come from one
+overlap rule on the same boxes: the image is split down the 64-pixel grid,
+then any grid tile over budget into quadrants, and a rect's members are the
+rows of its parent whose box overlaps it. Each pixel composites its
+Gaussians in depth order with the same floating-point operations in the
+same order however the image is tiled or a tile is chunked. The rendered
+planes and the per-Gaussian best contributions are therefore byte-identical
+for any tile layout (subdivided or not), chunk size and thread count.
 """
 
 from __future__ import annotations
@@ -189,74 +191,45 @@ def project(scene: GaussianScene, pose: CameraPose) -> ProjectedGaussians:
 
 
 def tile_scene(projected: ProjectedGaussians, width: int, height: int,
-               budget: int, tile_size: int = TILE_SIZE) -> list[Tile]:
+               budget: int) -> list[Tile]:
     """Partition the image into tiles whose gaussians x pixels fit the budget.
 
-    Starts from a regular ``tile_size`` grid; any tile over budget is split
-    into four quadrants recursively until the product fits or the tile is a
-    single pixel. Member lists keep the projection's row order, which
+    Splits the whole image down the ``TILE_SIZE`` grid, then splits any grid
+    tile over budget into four quadrants recursively until the product fits
+    or the tile is a single pixel. A rect's members are the rows of its
+    parent whose box overlaps it, in the projection's row order, which
     :func:`project` makes front to back.
     """
     if budget < 1:
         raise DomainError(f"tile budget must be positive, got {budget}")
-    tiles_x = (width + tile_size - 1) // tile_size
-    tiles_y = (height + tile_size - 1) // tile_size
-
-    # (row, tile) incidence pairs, ordered by (tile, row)
-    bbox = projected.bbox
-    if len(projected):
-        tx0 = bbox[:, 0] // tile_size
-        ty0 = bbox[:, 1] // tile_size
-        tx1 = (bbox[:, 2] - 1) // tile_size
-        ty1 = (bbox[:, 3] - 1) // tile_size
-        spans_x = tx1 - tx0 + 1
-        spans_y = ty1 - ty0 + 1
-        counts = spans_x * spans_y
-        row_of_pair = np.repeat(np.arange(len(projected)), counts)
-        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        local_x = offset % np.repeat(spans_x, counts)
-        local_y = offset // np.repeat(spans_x, counts)
-        tile_key = (np.repeat(ty0, counts) + local_y) * tiles_x + np.repeat(tx0, counts) + local_x
-        order = np.argsort(tile_key, kind="stable")  # row_of_pair is ascending
-        tile_key = tile_key[order]
-        row_of_pair = row_of_pair[order]
-        boundaries = np.searchsorted(tile_key, np.arange(tiles_x * tiles_y + 1))
-    else:
-        row_of_pair = np.zeros(0, dtype=np.int64)
-        boundaries = np.zeros(tiles_x * tiles_y + 1, dtype=np.int64)
-
+    members = np.flatnonzero(_overlaps(projected.bbox, 0, 0, width, height))
     out: list[Tile] = []
-    for ty in range(tiles_y):
-        for tx in range(tiles_x):
-            key = ty * tiles_x + tx
-            members = row_of_pair[boundaries[key]:boundaries[key + 1]]
-            rect = (
-                tx * tile_size, ty * tile_size,
-                min((tx + 1) * tile_size, width), min((ty + 1) * tile_size, height),
-            )
-            _subdivide(rect, members, 0, projected, budget, out)
+    _subdivide((0, 0, width, height), members, 0, projected.bbox, budget, out)
     return out
 
 
-def _subdivide(rect, members, level, projected, budget, out):
+def _overlaps(bbox, x0, y0, x1, y1):
+    """Rows of ``bbox`` whose half-open box meets the rect (x0, y0, x1, y1)."""
+    return (bbox[:, 0] < x1) & (bbox[:, 2] > x0) & (bbox[:, 1] < y1) & (bbox[:, 3] > y0)
+
+
+def _subdivide(rect, members, level, bbox, budget, out):
     x0, y0, x1, y1 = rect
-    pixels = (x1 - x0) * (y1 - y0)
-    if len(members) * pixels <= budget or (x1 - x0 == 1 and y1 - y0 == 1):
+    w, h = x1 - x0, y1 - y0
+    if w > TILE_SIZE or h > TILE_SIZE:  # cut down the grid, half the cells each side
+        xm = x0 + -(-w // TILE_SIZE) // 2 * TILE_SIZE
+        ym = y0 + -(-h // TILE_SIZE) // 2 * TILE_SIZE
+    elif len(members) * w * h <= budget or w * h == 1:
         out.append(Tile(x0, y0, x1, y1, members, level))
         return
-    xm = x0 + (x1 - x0) // 2 if x1 - x0 >= 2 else x1
-    ym = y0 + (y1 - y0) // 2 if y1 - y0 >= 2 else y1
-    bbox = projected.bbox[members]
+    else:
+        xm, ym, level = x0 + w // 2, y0 + h // 2, level + 1
+    boxes = bbox[members]
     for qy0, qy1 in ((y0, ym), (ym, y1)):
         for qx0, qx1 in ((x0, xm), (xm, x1)):
-            if qx1 <= qx0 or qy1 <= qy0:
-                continue
-            inside = (
-                (bbox[:, 0] < qx1) & (bbox[:, 2] > qx0)
-                & (bbox[:, 1] < qy1) & (bbox[:, 3] > qy0)
-            )
-            _subdivide((qx0, qy0, qx1, qy1), members[inside], level + 1,
-                       projected, budget, out)
+            if qx1 > qx0 and qy1 > qy0:
+                inside = _overlaps(boxes, qx0, qy0, qx1, qy1)
+                _subdivide((qx0, qy0, qx1, qy1), members[inside], level, bbox, budget, out)
 
 
 def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianScene,
@@ -410,7 +383,7 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
     stats = RenderStats(images_rendered=1)
     projected = project(scene, pose)
 
-    tiles = tile_scene(projected, pose.width, pose.height, TILE_BUDGET, TILE_SIZE)
+    tiles = tile_scene(projected, pose.width, pose.height, TILE_BUDGET)
     stats.tiles = len(tiles)
     stats.tiles_subdivided = sum(1 for t in tiles if t.level > 0)
     stats.max_tile_product = max((t.product for t in tiles), default=0)
@@ -450,8 +423,6 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
     if config.skip_cameras >= 2:
         ordered = [p for i, p in enumerate(ordered)
                    if (i + 1) % config.skip_cameras != 0]
-        if not ordered:
-            raise DomainError("--skip-cameras removed every pose")
     if config.render_scale != 1.0:
         ordered = [p.scaled(config.render_scale) for p in ordered]
 

@@ -15,6 +15,7 @@ import numpy as np
 ALPHA_MAX = 0.99
 ALPHA_MIN = 1.0 / 255.0
 T_EPS = 1e-4
+TILE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +146,43 @@ def merge_best(global_best, image_best):
         if gaussian not in global_best or weight > global_best[gaussian][0]:
             global_best[gaussian] = (weight, pixel, colour)
     return global_best
+
+
+# ---------------------------------------------------------------------------
+# tile membership
+
+def tiles_reference(bbox, width, height, budget):
+    """Tiles as ((x0, y0, x1, y1), level, members) tuples, in no set order.
+
+    Starts from the TILE-pixel grid clipped to the image (level 0) and splits
+    a tile whose members x pixels exceed ``budget`` into quadrants at the
+    floor midpoint (level + 1) until it fits or is one pixel. A rect's
+    members are every row whose half-open box overlaps it, tested one row
+    at a time, in row order.
+    """
+    def members_of(x0, y0, x1, y1):
+        return [r for r, (bx0, by0, bx1, by1) in enumerate(bbox)
+                if bx0 < x1 and bx1 > x0 and by0 < y1 and by1 > y0]
+
+    tiles = []
+
+    def split(x0, y0, x1, y1, level):
+        members = members_of(x0, y0, x1, y1)
+        w, h = x1 - x0, y1 - y0
+        if len(members) * w * h <= budget or (w == 1 and h == 1):
+            tiles.append(((x0, y0, x1, y1), level, members))
+            return
+        xm = x0 + w // 2 if w > 1 else x1
+        ym = y0 + h // 2 if h > 1 else y1
+        for qy0, qy1 in ((y0, ym), (ym, y1)):
+            for qx0, qx1 in ((x0, xm), (xm, x1)):
+                if qx0 < qx1 and qy0 < qy1:
+                    split(qx0, qy0, qx1, qy1, level + 1)
+
+    for y0 in range(0, height, TILE):
+        for x0 in range(0, width, TILE):
+            split(x0, y0, min(x0 + TILE, width), min(y0 + TILE, height), 0)
+    return tiles
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,14 @@ def test_filter_flags_apply(tmp_path, rng, capsys):
     assert stats["gaussians"]["after_filters"] < 30
 
 
+def test_inverted_bbox_fails_before_any_input_is_read(tmp_path, capsys):
+    # the scene does not exist, so only a check made before loading can name the box
+    code = main([str(tmp_path / "absent.ply"), str(tmp_path / "cloud.ply"),
+                 "--bbox=1,1,1,-1,-1,-1"])
+    assert code == 2
+    assert "--bbox min corner must not exceed the max corner" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter: this one has imported scipy for the tests already
     script = ("import splatcloud.cli, sys; "

@@ -185,6 +185,8 @@ def test_out_of_range_value_keeps_its_message(capsys, captured_config, flag):
     ({"bbox": (0.0, 0.0, 0.0, 1.0, math.inf, 1.0)}, "--bbox values must be finite"),
     ({"bbox": (0.0, 0.0, 0.0)}, "--bbox values must be finite and six in number"),
     ({"bbox": 1.0}, "--bbox values must be finite and six in number"),
+    ({"bbox": (1.0, 1.0, 1.0, -1.0, -1.0, -1.0)}, "--bbox min corner must not exceed"),
+    ({"bbox": (0.0, 2.0, 0.0, 1.0, 1.0, 1.0)}, "--bbox min corner must not exceed"),
 ])
 def test_python_api_validation(override, message):
     config = PipelineConfig(input_gaussians="scene.ply", output="cloud.ply", **override)

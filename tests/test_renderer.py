@@ -8,6 +8,7 @@ from reference import (
     finite_difference_screen_cov,
     merge_best,
     sampled_screen_cov,
+    tiles_reference,
 )
 from splatcloud import renderer
 from splatcloud.config import RenderConfig
@@ -204,6 +205,53 @@ def test_subdivision_stops_at_single_pixel():
     tiles = tile_scene(projected, 2, 2, budget=1)
     assert all(t.pixels == 1 for t in tiles)
     assert len(tiles) == 4
+
+
+def random_boxes(rng, n, width, height, margin):
+    """Integer half-open boxes anywhere within ``margin`` pixels of the image."""
+    x = rng.integers(-margin, width + margin, (n, 2))
+    y = rng.integers(-margin, height + margin, (n, 2))
+    x.sort(axis=1)
+    y.sort(axis=1)
+    return np.stack([x[:, 0], y[:, 0], x[:, 1] + 1, y[:, 1] + 1], axis=1)
+
+
+def box_projection(bbox) -> ProjectedGaussians:
+    n = len(bbox)
+    return synthetic_projection(n, np.zeros((n, 2)), np.arange(n) + 1.0, np.full(n, 0.5),
+                                bbox)
+
+
+def sorted_tiles(tiles):
+    return sorted(((t.x0, t.y0, t.x1, t.y1), t.level, list(t.members)) for t in tiles)
+
+
+IMAGE_SIZES = [(1, 1), (1, 9), (9, 1), (7, 5), (63, 65), (64, 64), (130, 67), (257, 71)]
+
+
+@pytest.mark.parametrize("width, height", IMAGE_SIZES)
+def test_tiles_match_plain_loop_oracle(width, height):
+    # Boxes straddling and beyond the image edges, clipped and kept the way
+    # project() clips and keeps them.
+    rng = np.random.default_rng(width * 1000 + height)
+    for budget in (1, 40, 700, 10**9):
+        n = int(rng.integers(0, 25))
+        bbox = random_boxes(rng, n, width, height, margin=40)
+        bbox = np.clip(bbox, 0, [width, height, width, height])
+        bbox = bbox[(bbox[:, 2] > bbox[:, 0]) & (bbox[:, 3] > bbox[:, 1])]
+        tiles = tile_scene(box_projection(bbox), width, height, budget)
+        assert sorted_tiles(tiles) == sorted(tiles_reference(bbox, width, height, budget))
+
+
+@pytest.mark.parametrize("width, height", IMAGE_SIZES)
+def test_tiles_match_oracle_for_unclipped_boxes(width, height):
+    # Boxes past any image edge join no tile they miss, including the grid
+    # tiles of the row above or below.
+    rng = np.random.default_rng(width * 1000 + height + 1)
+    for budget in (1, 40, 10**9):
+        bbox = random_boxes(rng, int(rng.integers(0, 25)), width, height, margin=200)
+        tiles = tile_scene(box_projection(bbox), width, height, budget)
+        assert sorted_tiles(tiles) == sorted(tiles_reference(bbox, width, height, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +530,10 @@ def test_skip_cameras_drops_every_kth(rng):
     poses = [frontal_pose(image_id=i) for i in range(6)]
     stats = render_all(scene, poses, RenderConfig(skip_cameras=3, threads=1))
     assert stats.images_rendered == 4  # drops ranks 2 and 5
+    # the first pose is never a K-th one, so a single pose always renders
+    for k in (2, 3, 7):
+        stats = render_all(scene, poses[:1], RenderConfig(skip_cameras=k, threads=1))
+        assert stats.images_rendered == 1
 
 
 def test_render_scale_halves_resolution(rng):
