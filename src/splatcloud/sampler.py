@@ -124,10 +124,14 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     float64 copy (its draws) at full size. Without ``out`` the batch fills
     its own arrays, each Gaussian's draws back to back.
 
+    Every 3-term sum, the transform's ``(L z)_i`` and the norm ``||z||^2``,
+    is added in the fixed order ``(j0 + j2) + j1`` (see :func:`_dot3`), so
+    the bytes do not depend on numpy's summation kernels.
+
     Returns (points float32, colours uint8, accepted_per_gaussian,
     rejected_draws): the arrays written and the batch's counts.
     """
-    if sigma_threshold <= 0:
+    if not sigma_threshold > 0:  # NaN fails this test too
         raise DomainError(f"sigma threshold must be > 0, got {sigma_threshold}")
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -139,17 +143,20 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     threshold_sq = float(sigma_threshold) ** 2
 
     z = rng.standard_normal((k, count, 3))
-    pending = np.einsum("kcj,kcj->kc", z, z) > threshold_sq
+    pending = _dot3(z, z) > threshold_sq
     rejected = int(np.count_nonzero(pending))
+    # flat views: pending slots are listed in row-major order, the order in
+    # which their redraws are taken from the stream
+    z_slots, pending_slots = z.reshape(-1, 3), pending.reshape(-1)
     for _ in range(max_rounds - 1):
-        slots = np.nonzero(pending)
-        if len(slots[0]) == 0:
+        slots = np.flatnonzero(pending_slots)
+        if len(slots) == 0:
             break
-        fresh = rng.standard_normal((len(slots[0]), 3))
-        accept = np.einsum("nj,nj->n", fresh, fresh) <= threshold_sq
-        z[slots] = fresh
-        pending[slots] = ~accept
-        rejected += int(np.count_nonzero(~accept))
+        fresh = rng.standard_normal((len(slots), 3))
+        still = _dot3(fresh, fresh) > threshold_sq
+        z_slots[slots] = fresh
+        pending_slots[slots] = still
+        rejected += int(np.count_nonzero(still))
 
     accepted = ~pending
     if out is None:
@@ -160,14 +167,20 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     else:
         points, colours, starts = out
         first = starts[indices]
-    palette = quantize_colours(scene.point_colours()[indices])
+    # whole-row views: one 12-byte point or 3-byte colour per element, so a
+    # scatter moves rows rather than (n, 3) elements
+    point_rows, colour_rows = _rows(points), _rows(colours)
+    palette = _rows(quantize_colours(scene.point_colours()[indices]))
     kept_counts = np.empty(k, dtype=np.int64)
     per_block = max(1, SAMPLE_BLOCK_POINTS // count)
     for lo in range(0, k, per_block):
         members = slice(lo, lo + per_block)
+        cholesky = scene.cov_cholesky[indices[members]]
         with np.errstate(over="ignore", invalid="ignore"):
             moved = scene.position[indices[members], None, :] \
-                + np.einsum("kij,kcj->kci", scene.cov_cholesky[indices[members]], z[members])
+                + _dot3(cholesky[:, None], z[members, :, None])
+            # the one float64 -> float32 cast; draws it overflows are dropped below
+            moved32 = moved.astype(np.float32)
         keep = accepted[members]
         reach = np.abs(moved)  # NaN stays NaN and fails the test below
         # pairwise maxima: several times faster than .max(axis=2) on a 3-wide axis
@@ -180,14 +193,29 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
         # each run from its start within the block to its first row
         rows = np.repeat(first[members] - (np.cumsum(kept) - kept), kept) \
             + np.arange(kept.sum())
-        points[rows] = moved[keep]  # the one float64 -> float32 cast
-        colours[rows] = np.repeat(palette[members], kept, axis=0)
+        point_rows[rows] = _rows(moved32)[keep]
+        colour_rows[rows] = np.repeat(palette[members], kept)
 
     if out is None:  # close the rows that out-of-range draws left unused
         _close_gaps((points, colours), first, drawn, kept_counts)
         emitted = int(kept_counts.sum())
         points, colours = points[:emitted], colours[:emitted]
     return points, colours, kept_counts, rejected
+
+
+def _dot3(a, b):
+    """``sum_j a[..., j] * b[..., j]`` over a last axis of 3, as ``(j0 + j2) + j1``.
+
+    The order is written out rather than left to a numpy summation kernel,
+    whose order depends on its SIMD build. It matches what the sampler's
+    earlier kernel gave (numpy 2.4, x86-64), so the draws kept their bytes.
+    """
+    return (a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]
+
+
+def _rows(array: np.ndarray) -> np.ndarray:
+    """View a C-contiguous (..., 3) array as (...) elements of one whole row."""
+    return array.view(np.dtype((np.void, 3 * array.itemsize)))[..., 0]
 
 
 def quantize_colours(colours_unit: np.ndarray) -> np.ndarray:

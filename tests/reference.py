@@ -257,29 +257,97 @@ def mahalanobis_reference(point, mean, cov):
 
 
 # ---------------------------------------------------------------------------
+# draw oracle
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def sum3_reference(a0, a1, a2):
+    """Three terms added as (a0 + a2) + a1, the sampler's fixed order."""
+    return (a0 + a2) + a1
+
+
+def sample_batch_reference(batch, scene, sigma_threshold, max_rounds):
+    """One batch's draws, slot by slot in plain Python floats.
+
+    Same generator key and the same first call for z, then each redraw round
+    walks the batch's slots in row-major order, draws one fresh row for every
+    slot still pending and writes it back by plain indexing. Norms and the
+    transform mu + L z add their three terms in the order (j0 + j2) + j1. A
+    kept draw must also lie inside float32's range, checked in float64 before
+    the cast. Returns (points float32, colours uint8, accepted per Gaussian,
+    rejected draws) like ``sample_batch`` without ``out``.
+    """
+    indices = [int(g) for g in batch.gaussian_indices]
+    count = batch.count_per_gaussian
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(batch.rng_seed)))
+    threshold_sq = float(sigma_threshold) ** 2
+
+    def outside(row):
+        return sum3_reference(*(v * v for v in row)) > threshold_sq
+
+    z = rng.standard_normal((len(indices), count, 3)).tolist()
+    pending = [[outside(row) for row in rows] for rows in z]
+    rejected = sum(map(sum, pending))
+    for _ in range(max_rounds - 1):
+        slots = [(g, c) for g in range(len(indices)) for c in range(count) if pending[g][c]]
+        if not slots:
+            break
+        fresh = rng.standard_normal((len(slots), 3)).tolist()
+        for (g, c), row in zip(slots, fresh):
+            z[g][c] = row
+            pending[g][c] = outside(row)
+            rejected += pending[g][c]
+
+    points, colours, accepted = [], [], []
+    for g, gaussian in enumerate(indices):
+        mean = scene.position[gaussian].tolist()
+        chol = scene.cov_cholesky[gaussian].tolist()
+        colour = [min(255, max(0, math.floor(v * 255.0 + 0.5)))
+                  for v in scene.point_colours()[gaussian].tolist()]
+        kept = 0
+        for c in range(count):
+            if pending[g][c]:
+                continue
+            zc = z[g][c]
+            point = [mean[i] + sum3_reference(*(chol[i][j] * zc[j] for j in range(3)))
+                     for i in range(3)]
+            if not all(abs(v) < _FLOAT32_MAX for v in point):  # NaN fails too
+                rejected += 1
+                continue
+            points.append(point)
+            colours.append(colour)
+            kept += 1
+        accepted.append(kept)
+    return (np.array(points, dtype=np.float64).reshape(-1, 3).astype(np.float32),
+            np.array(colours, dtype=np.uint8).reshape(-1, 3),
+            np.array(accepted, dtype=np.int64), rejected)
+
+
+# ---------------------------------------------------------------------------
 # point-order oracle
 
 def sample_scene_reference(scene, total, config):
-    """Assemble the package's per-batch draws by concatenating and sorting.
+    """Draw every batch with the oracle, then put the points in Gaussian order.
 
-    The draws themselves come from ``sample_batch`` (they are keyed per
-    batch, so nothing else could reproduce them); only the assembly is
-    independent: every batch is concatenated in float64, then a stable
-    argsort by Gaussian id puts the points in Gaussian-index order, and the
-    points are cast to float32 last. Returns (points, colours, gaussian_ids).
+    Allocation and batch keys come from the package (the draws are keyed per
+    batch); the draws come from :func:`sample_batch_reference`, and the
+    assembly is independent too: every batch is concatenated, then a stable
+    argsort by Gaussian id puts the points in Gaussian-index order.
+    Returns (points, colours, gaussian_ids).
     """
-    from splatcloud.sampler import allocate, build_batches, gaussian_volume, sample_batch
+    from splatcloud.sampler import allocate, build_batches, gaussian_volume
 
     counts = allocate(gaussian_volume(scene.log_scale), total,
                       "exact" if config.exact else "binned")
     points, colours, gaussian_ids = [], [], []
     for batch in build_batches(counts, config.seed):
-        batch_points, batch_colours, accepted, _ = sample_batch(
+        batch_points, batch_colours, accepted, _ = sample_batch_reference(
             batch, scene, config.sigma, config.max_resample_rounds)
         points.append(batch_points)
         colours.append(batch_colours)
         gaussian_ids.append(np.repeat(batch.gaussian_indices, accepted))
     gaussian_ids = np.concatenate(gaussian_ids)
     order = np.argsort(gaussian_ids, kind="stable")
-    return (np.concatenate(points)[order].astype(np.float32),
-            np.concatenate(colours)[order], gaussian_ids[order])
+    return (np.concatenate(points)[order], np.concatenate(colours)[order],
+            gaussian_ids[order])

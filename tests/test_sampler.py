@@ -10,7 +10,9 @@ from reference import (
     encode_cloud_reference,
     largest_remainder_reference,
     mahalanobis_reference,
+    sample_batch_reference,
     sample_scene_reference,
+    sum3_reference,
 )
 from splatcloud import sampler
 from splatcloud.config import SamplerConfig
@@ -293,6 +295,76 @@ def test_draws_past_float32_are_dropped_as_rejected(monkeypatch, rng, block_poin
     assert points[-300:].tobytes() == safe_points[-300:].tobytes()
 
 
+def test_three_term_sums_keep_their_order():
+    # a float32 point rarely shows a last-bit change of its float64 sum, so the
+    # order is pinned on the float64 sums themselves, on terms of mixed sizes
+    # where the three ways to add them disagree
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-8, 9, (500, 3))
+    b = rng.standard_normal((500, 3))
+    expected = [sum3_reference(*(x * y for x, y in zip(row_a, row_b)))
+                for row_a, row_b in zip(a.tolist(), b.tolist())]
+    left_to_right = [(x0 * y0 + x1 * y1) + x2 * y2
+                     for (x0, x1, x2), (y0, y1, y2) in zip(a.tolist(), b.tolist())]
+    assert expected != left_to_right
+    assert sampler._dot3(a, b).tolist() == expected
+
+
+@pytest.mark.parametrize("into_cloud", [False, True], ids=["own-arrays", "into-cloud"])
+@pytest.mark.parametrize("block_points", [7, 1 << 15])
+@pytest.mark.parametrize("rounds", [1, 5])
+@pytest.mark.parametrize("count, members", [(1, 40), (37, 20), (300, 8)])
+def test_sample_batch_matches_draw_oracle(monkeypatch, count, members, rounds, block_points,
+                                          into_cloud):
+    # sigma 1.5 rejects about half of the first draws, so redraws and short
+    # Gaussians both occur; the batch takes every other Gaussian of the scene
+    scene = random_scene(np.random.default_rng(count), 2 * members,
+                         log_scale_range=(-5.0, 0.5))
+    batch = SampleBatch(np.arange(1, 2 * members, 2), count, derive_batch_seed(4, 1, count))
+    expected, expected_colours, expected_accepted, expected_rejected = \
+        sample_batch_reference(batch, scene, 1.5, rounds)
+    monkeypatch.setattr(sampler, "SAMPLE_BLOCK_POINTS", block_points)
+    out = None
+    if into_cloud:
+        # each Gaussian owns count + 3 rows, in reverse index order, after 5 spare rows
+        starts = (scene.count - 1 - np.arange(scene.count)) * (count + 3) + 5
+        size = scene.count * (count + 3) + 5
+        out = (np.full((size, 3), -7.0, dtype=np.float32),
+               np.full((size, 3), 9, dtype=np.uint8), starts)
+    points, colours, accepted, rejected = sample_batch(batch, scene, 1.5, rounds, out=out)
+    assert rejected == expected_rejected > 0
+    np.testing.assert_array_equal(accepted, expected_accepted)
+    if into_cloud:
+        rows = np.concatenate([np.arange(starts[g], starts[g] + n)
+                               for g, n in zip(batch.gaussian_indices, accepted)])
+        untouched = np.ones(len(points), dtype=bool)
+        untouched[rows] = False
+        assert (points[untouched] == -7.0).all() and (colours[untouched] == 9).all()
+        points, colours = points[rows], colours[rows]
+    assert points.tobytes() == expected.tobytes()
+    assert colours.tobytes() == expected_colours.tobytes()
+
+
+@pytest.mark.parametrize("block_points", [7, 1 << 15])
+def test_draws_past_float32_match_draw_oracle(monkeypatch, block_points):
+    # the scene of test_draws_past_float32_are_dropped_as_rejected: the middle
+    # Gaussian's draws reach past float32 on the +x side
+    records = RawGaussians(position=np.zeros((3, 3)), log_scale=np.full((3, 3), -1.0),
+                           rotation=np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),
+                           logit_opacity=np.zeros(3), sh_dc=np.zeros((3, 3)))
+    records.position[1, 0] = 3.4028e38
+    records.log_scale[1] = 78.0
+    scene = activate(records)
+    batch = batch_for(scene, 300)
+    expected, _, expected_accepted, expected_rejected = \
+        sample_batch_reference(batch, scene, math.inf, 1)
+    monkeypatch.setattr(sampler, "SAMPLE_BLOCK_POINTS", block_points)
+    points, _, accepted, rejected = sample_batch(batch, scene, math.inf, 1)
+    assert 0 < expected_accepted[1] < 300 and rejected == expected_rejected
+    np.testing.assert_array_equal(accepted, expected_accepted)
+    assert points.tobytes() == expected.tobytes()
+
+
 def test_sample_batch_alone_gives_the_in_cloud_rows():
     # one draw round at sigma 1 leaves most Gaussians short, so a batch's rows
     # in the cloud sit between other batches' rows, after gaps were closed
@@ -414,6 +486,14 @@ def test_colour_quantisation_rounds_half_up():
     colours = np.array([[0.0, 0.5, 1.0], [127.4 / 255.0, 127.5 / 255.0, 0.999]])
     quantized = quantize_colours(colours)
     np.testing.assert_array_equal(quantized, [[0, 128, 255], [127, 128, 255]])
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_non_positive_or_nan_sigma_error(rng, sigma):
+    # a NaN threshold would reject no draw at all: every compare with it is false
+    scene = random_scene(rng, 50)
+    with pytest.raises(DomainError, match="sigma"):
+        generate_pointcloud(scene, 20_000, SamplerConfig(sigma=sigma, seed=1, threads=1))
 
 
 def test_generate_empty_scene_error(rng):

@@ -334,6 +334,14 @@ def test_surface_export_rejects_nan_std_ratio(rng):
                                                   sor_std=float("nan")))
 
 
+def test_surface_export_rejects_nan_sigma(rng):
+    # as above: SurfaceConfig is not validated, so the sampler must refuse it
+    scene = rendered_scene(rng, 50)
+    with pytest.raises(DomainError, match="sigma"):
+        export_surface_cloud(scene, SurfaceConfig(seed=8, threads=1, surface_points=2000,
+                                                  sigma=float("nan")))
+
+
 def test_surface_requires_rendering(rng):
     scene = random_scene(rng, 5)
     with pytest.raises(DomainError):
