@@ -157,7 +157,7 @@ class SamplerConfig:
     exact: bool = option(False, "disable 5-point binning for exact per-gaussian counts")
     max_resample_rounds: int = option(
         5, "draw attempts per point slot (default {default})", "N", check=_at_least(1))
-    seed: int = option(0, "RNG seed (default {default})")
+    seed: int = option(0, "RNG seed (default {default})", check=_at_least(0))
     threads: int = _threads()
 
 

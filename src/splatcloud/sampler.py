@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import SamplerConfig, map_threads
 from .errors import DomainError
-from .scene import GaussianScene
+from .scene import GaussianScene, cholesky3, dot3
 from .types import PointCloud
 
 log = logging.getLogger(__name__)
@@ -99,6 +99,8 @@ def allocate(volumes, total: int, mode: str = "exact") -> np.ndarray:
 
 def derive_batch_seed(global_seed: int, smallest_index: int, count: int) -> int:
     """Stable 64-bit key for one batch's counter-based generator."""
+    if global_seed < 0:
+        raise DomainError(f"seed must be >= 0, got {global_seed}")
     seq = np.random.SeedSequence([int(global_seed), int(smallest_index), int(count)])
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -107,13 +109,14 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
                  max_rounds: int = 5, out=None):
     """Draw ``count_per_gaussian`` points from every Gaussian in the batch.
 
-    Draws use x = mu + L z with z standard normal; a draw is rejected when
-    ||z|| (== the Mahalanobis distance of x) exceeds the threshold, and its
-    slot is redrawn up to ``max_rounds`` total attempts. Slots still pending
-    afterwards are dropped, so a batch may emit fewer points than allocated.
-    A draw whose point float32 cannot hold (a coordinate non-finite or at
-    least float32's maximum in magnitude) is dropped too and counted as
-    rejected.
+    Draws use x = mu + L z, z standard normal and L the covariance's lower
+    Cholesky factor, which each block computes with :func:`cholesky3`. A draw
+    is rejected when ||z|| (== the Mahalanobis distance of x) exceeds the
+    threshold, and its slot is redrawn up to ``max_rounds`` total attempts.
+    Slots still pending afterwards are dropped, so a batch may emit fewer
+    points than allocated. A draw whose point float32 cannot hold (a
+    coordinate non-finite or at least float32's maximum in magnitude) is
+    dropped too and counted as rejected.
 
     All of ``z`` is drawn before any redraw, which fixes the generator's
     stream. The transform, the range check and the float32 cast then run
@@ -125,7 +128,7 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     its own arrays, each Gaussian's draws back to back.
 
     Every 3-term sum, the transform's ``(L z)_i`` and the norm ``||z||^2``,
-    is added in the fixed order ``(j0 + j2) + j1`` (see :func:`_dot3`), so
+    is added in the fixed order ``(j0 + j2) + j1`` (see :func:`dot3`), so
     the bytes do not depend on numpy's summation kernels.
 
     Returns (points float32, colours uint8, accepted_per_gaussian,
@@ -143,7 +146,7 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     threshold_sq = float(sigma_threshold) ** 2
 
     z = rng.standard_normal((k, count, 3))
-    pending = _dot3(z, z) > threshold_sq
+    pending = dot3(z, z) > threshold_sq
     rejected = int(np.count_nonzero(pending))
     # flat views: pending slots are listed in row-major order, the order in
     # which their redraws are taken from the stream
@@ -153,7 +156,7 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
         if len(slots) == 0:
             break
         fresh = rng.standard_normal((len(slots), 3))
-        still = _dot3(fresh, fresh) > threshold_sq
+        still = dot3(fresh, fresh) > threshold_sq
         z_slots[slots] = fresh
         pending_slots[slots] = still
         rejected += int(np.count_nonzero(still))
@@ -175,10 +178,10 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     per_block = max(1, SAMPLE_BLOCK_POINTS // count)
     for lo in range(0, k, per_block):
         members = slice(lo, lo + per_block)
-        cholesky = scene.cov_cholesky[indices[members]]
+        cholesky = cholesky3(scene.covariance[indices[members]])[0]
         with np.errstate(over="ignore", invalid="ignore"):
             moved = scene.position[indices[members], None, :] \
-                + _dot3(cholesky[:, None], z[members, :, None])
+                + dot3(cholesky[:, None], z[members, :, None])
             # the one float64 -> float32 cast; draws it overflows are dropped below
             moved32 = moved.astype(np.float32)
         keep = accepted[members]
@@ -201,16 +204,6 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
         emitted = int(kept_counts.sum())
         points, colours = points[:emitted], colours[:emitted]
     return points, colours, kept_counts, rejected
-
-
-def _dot3(a, b):
-    """``sum_j a[..., j] * b[..., j]`` over a last axis of 3, as ``(j0 + j2) + j1``.
-
-    The order is written out rather than left to a numpy summation kernel,
-    whose order depends on its SIMD build. It matches what the sampler's
-    earlier kernel gave (numpy 2.4, x86-64), so the draws kept their bytes.
-    """
-    return (a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]
 
 
 def _rows(array: np.ndarray) -> np.ndarray:

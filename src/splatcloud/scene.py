@@ -49,11 +49,12 @@ def quats_to_rotmats(q: np.ndarray) -> np.ndarray:
     return rot
 
 
-def _cholesky3_batch(cov: np.ndarray):
+def cholesky3(cov: np.ndarray):
     """Closed-form lower Cholesky factors of (N, 3, 3) matrices.
 
     Returns (L, ok) where ok flags rows whose pivots were all strictly
-    positive and finite; L rows with ok=False are garbage.
+    positive and finite; L rows with ok=False are garbage. Only element-wise
+    ops, no reductions: a row's factor does not depend on the rows beside it.
     """
     c00, c01, c02 = cov[:, 0, 0], cov[:, 1, 0], cov[:, 2, 0]
     c11, c12, c22 = cov[:, 1, 1], cov[:, 2, 1], cov[:, 2, 2]
@@ -80,11 +81,22 @@ def _cholesky3_batch(cov: np.ndarray):
     return L, ok
 
 
+def dot3(a, b):
+    """``sum_j a[..., j] * b[..., j]`` over a last axis of 3, as ``(j0 + j2) + j1``.
+
+    The order is written out rather than left to a numpy summation kernel,
+    whose order depends on its SIMD build. It matches what numpy 2.4's
+    ``einsum`` gave on x86-64 for the sums it replaced, so their outputs kept
+    their bytes.
+    """
+    return (a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]
+
+
 def _regularised_covariances(log_scale: np.ndarray, rotation_unit: np.ndarray):
     """Batched Sigma = R diag(e^{2s}) R^T with the epsilon ladder applied.
 
-    Returns (cov, chol, ok). Rows that never factorise keep ok=False and are
-    meant to be dropped by the caller.
+    Returns (cov, ok); a kept row is the very matrix that factorised. Rows
+    that never factorise keep ok=False and are meant to be dropped.
     """
     rot = quats_to_rotmats(rotation_unit)
     with np.errstate(over="ignore"):
@@ -93,22 +105,20 @@ def _regularised_covariances(log_scale: np.ndarray, rotation_unit: np.ndarray):
 
     eye = np.eye(3)
     out = cov.copy()
-    chol = np.zeros_like(cov)
     ok = np.zeros(len(cov), dtype=bool)
     eps = CHOLESKY_EPS
     pending = np.arange(len(cov))
     for _ in range(CHOLESKY_ATTEMPTS):
         candidate = cov[pending] + eps * eye
-        L, good = _cholesky3_batch(candidate)
+        good = cholesky3(candidate)[1]
         hit = pending[good]
         out[hit] = candidate[good]
-        chol[hit] = L[good]
         ok[hit] = True
         pending = pending[~good]
         if len(pending) == 0:
             break
         eps *= 10.0
-    return out, chol, ok
+    return out, ok
 
 
 @dataclass
@@ -175,7 +185,6 @@ class GaussianScene:
     rotation_unit: np.ndarray   # (N, 4) unit quaternions
     opacity: np.ndarray         # (N,) strictly inside (0, 1)
     covariance: np.ndarray      # (N, 3, 3) SPD
-    cov_cholesky: np.ndarray    # (N, 3, 3) lower factors of covariance
     base_colour: np.ndarray     # (N, 3) in [0, 1]
     # None until render_all runs a colour pass
     contribution: ContributionState | None = field(repr=False, default=None)
@@ -210,11 +219,10 @@ def activate(raw: RawGaussians) -> GaussianScene:
 
     rotation_unit = raw.rotation / np.linalg.norm(raw.rotation, axis=1, keepdims=True)
     covariance = np.empty((len(raw), 3, 3))
-    chol = np.empty((len(raw), 3, 3))
     ok = np.empty(len(raw), dtype=bool)
     for lo in range(0, len(raw), ACTIVATE_BLOCK_ROWS):
         rows = slice(lo, lo + ACTIVATE_BLOCK_ROWS)
-        covariance[rows], chol[rows], ok[rows] = _regularised_covariances(
+        covariance[rows], ok[rows] = _regularised_covariances(
             raw.log_scale[rows], rotation_unit[rows])
     scene = GaussianScene(
         position=raw.position,
@@ -222,7 +230,6 @@ def activate(raw: RawGaussians) -> GaussianScene:
         rotation_unit=rotation_unit,
         opacity=sigmoid(raw.logit_opacity),
         covariance=covariance,
-        cov_cholesky=chol,
         base_colour=np.clip(0.5 + SH_C0 * raw.sh_dc, 0.0, 1.0),
     )
     if ok.all():

@@ -15,7 +15,7 @@ import numpy as np
 from .config import SurfaceConfig, resolve_workers
 from .errors import DomainError
 from .sampler import SampleStats, _sample_scene
-from .scene import GaussianScene, quats_to_rotmats
+from .scene import GaussianScene, dot3, quats_to_rotmats
 from .types import PointCloud
 
 log = logging.getLogger(__name__)
@@ -65,7 +65,7 @@ def surface_normals(scene: GaussianScene) -> np.ndarray:
     centres = scene.contribution.best_camera_centre
     seen = np.isfinite(centres).all(axis=1)
     towards = centres - scene.position
-    flip = seen & (np.einsum("nj,nj->n", normals, towards) < 0.0)
+    flip = seen & (dot3(normals, towards) < 0.0)
     normals[flip] *= -1.0
     return normals
 

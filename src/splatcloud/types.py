@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -160,19 +160,18 @@ class CameraPose:
         return -self.rotation.T @ self.translation
 
     def scaled(self, scale: float) -> "CameraPose":
-        """Return a copy rendered at ``scale`` times the original resolution."""
+        """Return a copy rendered at ``scale`` times the original resolution.
+
+        Intrinsics scale by the ratio each side took after rounding to whole
+        pixels, so the principal point stays inside the image.
+        """
         if scale == 1.0:
             return self
-        return CameraPose(
-            image_id=self.image_id,
-            width=max(1, int(round(self.width * scale))),
-            height=max(1, int(round(self.height * scale))),
-            fx=self.fx * scale,
-            fy=self.fy * scale,
-            cx=self.cx * scale,
-            cy=self.cy * scale,
-            world_to_camera=self.world_to_camera,
-        )
+        width = max(1, int(round(self.width * scale)))
+        height = max(1, int(round(self.height * scale)))
+        sx, sy = width / self.width, height / self.height
+        return replace(self, width=width, height=height, fx=self.fx * sx, fy=self.fy * sy,
+                       cx=self.cx * sx, cy=self.cy * sy)
 
 
 @dataclass

@@ -267,12 +267,30 @@ def sum3_reference(a0, a1, a2):
     return (a0 + a2) + a1
 
 
+def cholesky3_reference(cov):
+    """Lower Cholesky factor of one 3x3 SPD matrix, entry by entry in Python floats.
+
+    The same sqrt, division and subtraction sequence as the closed form, read
+    from the lower triangle. Returns the factor as a list of three rows.
+    """
+    c00, c10, c20 = cov[0][0], cov[1][0], cov[2][0]
+    c11, c21, c22 = cov[1][1], cov[2][1], cov[2][2]
+    l00 = math.sqrt(c00)
+    l10 = c10 / l00
+    l20 = c20 / l00
+    l11 = math.sqrt(c11 - l10 * l10)
+    l21 = (c21 - l20 * l10) / l11
+    l22 = math.sqrt(c22 - l20 * l20 - l21 * l21)
+    return [[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]]
+
+
 def sample_batch_reference(batch, scene, sigma_threshold, max_rounds):
     """One batch's draws, slot by slot in plain Python floats.
 
     Same generator key and the same first call for z, then each redraw round
     walks the batch's slots in row-major order, draws one fresh row for every
-    slot still pending and writes it back by plain indexing. Norms and the
+    slot still pending and writes it back by plain indexing. L is factored
+    from the scene's covariance by :func:`cholesky3_reference`. Norms and the
     transform mu + L z add their three terms in the order (j0 + j2) + j1. A
     kept draw must also lie inside float32's range, checked in float64 before
     the cast. Returns (points float32, colours uint8, accepted per Gaussian,
@@ -302,7 +320,7 @@ def sample_batch_reference(batch, scene, sigma_threshold, max_rounds):
     points, colours, accepted = [], [], []
     for g, gaussian in enumerate(indices):
         mean = scene.position[gaussian].tolist()
-        chol = scene.cov_cholesky[gaussian].tolist()
+        chol = cholesky3_reference(scene.covariance[gaussian].tolist())
         colour = [min(255, max(0, math.floor(v * 255.0 + 0.5)))
                   for v in scene.point_colours()[gaussian].tolist()]
         kept = 0

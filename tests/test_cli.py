@@ -377,6 +377,20 @@ def test_inverted_bbox_fails_before_any_input_is_read(tmp_path, capsys):
     assert "--bbox min corner must not exceed the max corner" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config-file"])
+def test_negative_seed_is_usage_error(tmp_path, scene_ply, capsys, from_config):
+    out = tmp_path / "cloud.ply"
+    if from_config:
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = -1\n")
+        argv = [str(scene_ply), str(out), "--config", str(config)]
+    else:
+        argv = [str(scene_ply), str(out), "--seed", "-1"]
+    assert main(argv) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter: this one has imported scipy for the tests already
     script = ("import splatcloud.cli, sys; "

@@ -53,8 +53,7 @@ def test_activate_memory_does_not_grow_with_n():
         finally:
             tracemalloc.stop()
         output = sum(column.nbytes for column in (
-            scene.rotation_unit, scene.opacity, scene.covariance, scene.cov_cholesky,
-            scene.base_colour))
+            scene.rotation_unit, scene.opacity, scene.covariance, scene.base_colour))
         above_output[n] = peak - output
     slope = (above_output[80_000] - above_output[20_000]) / 60_000
     assert slope <= 32, f"activate holds {slope:.0f} bytes per Gaussian beyond its output"

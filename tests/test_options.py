@@ -57,6 +57,7 @@ OUT_OF_RANGE = {
     "--sor-k": ("0", "--sor-k must be >= 1, got 0"),
     "--sor-std": ("-1", "--sor-std must be > 0, got -1.0"),
     "--threads": ("-1", "--threads must be >= 0, got -1"),
+    "--seed": ("-1", "--seed must be >= 0, got -1"),
     "--background": ("256,0,0", "background channels must be within 0-255"),
     "--max-scale": ("0", "--max-scale must be > 0, got 0.0"),
     "--min-opacity": ("1.5", "--min-opacity must be within 0..1, got 1.5"),

@@ -1,5 +1,7 @@
 """Projection, tiling and compositing against independent oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,6 @@ def colour_scene(colours, opacities) -> GaussianScene:
         rotation_unit=np.tile([1.0, 0, 0, 0], (n, 1)),
         opacity=np.asarray(opacities, dtype=np.float64),
         covariance=np.tile(np.eye(3), (n, 1, 1)),
-        cov_cholesky=np.tile(np.eye(3), (n, 1, 1)),
         base_colour=np.asarray(colours, dtype=np.float64),
     )
 
@@ -90,7 +91,8 @@ def test_screen_covariance_matches_sampled_fit(rng):
     scene = random_scene(rng, 1, spread=0.0, log_scale_range=(-2.5, -1.5))
     pose = frontal_pose(width=640, height=480, focal=300.0, distance=8.0)
     projected = project(scene, pose)
-    fitted = sampled_screen_cov(pose, scene.position[0], scene.cov_cholesky[0])
+    fitted = sampled_screen_cov(pose, scene.position[0],
+                                np.linalg.cholesky(scene.covariance[0]))
     got = projected.cov2d[0] - COV2D_LOWPASS * np.eye(2)
     # off-diagonals sit near zero; tolerate 5x the Monte-Carlo standard error
     mc_error = 5.0 * np.sqrt(np.prod(np.diag(fitted)) / 200_000)
@@ -543,6 +545,19 @@ def test_render_scale_halves_resolution(rng):
     assert (scaled.width, scaled.height) == (32, 24)
     assert scaled.fx == pose.fx * 0.5
     stats = render_all(scene, [pose], RenderConfig(render_scale=0.5, threads=1))
+    assert stats.images_rendered == 1
+
+
+def test_render_scale_keeps_the_principal_point_inside(rng):
+    # 201 * 0.5 rounds to 100 pixels, so cx = 200.9 scaled by 0.5 would land
+    # at 100.45, outside the 100-pixel-wide scaled image
+    pose = replace(frontal_pose(width=201, height=100, focal=100.0), cx=200.9)
+    scaled = pose.scaled(0.5)
+    assert (scaled.width, scaled.height) == (100, 50)
+    assert scaled.fx == pose.fx * (100 / 201) and scaled.cx == pose.cx * (100 / 201)
+    assert scaled.fy == pose.fy * 0.5 and scaled.cy == pose.cy * 0.5
+    assert 0 < scaled.cx < scaled.width
+    stats = render_all(random_scene(rng, 6), [pose], RenderConfig(render_scale=0.5, threads=1))
     assert stats.images_rendered == 1
 
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 from reference import (
+    cholesky3_reference,
     encode_cloud_reference,
     largest_remainder_reference,
     mahalanobis_reference,
@@ -15,7 +16,8 @@ from reference import (
     sum3_reference,
 )
 from splatcloud import sampler
-from splatcloud.config import SamplerConfig
+from splatcloud import scene as scene_module
+from splatcloud.config import FilterConfig, SamplerConfig
 from splatcloud.errors import DomainError
 from splatcloud.formats import ply, write_pointcloud_ply
 from splatcloud.sampler import (
@@ -28,10 +30,10 @@ from splatcloud.sampler import (
     quantize_colours,
     sample_batch,
 )
-from splatcloud.scene import ContributionState, activate
+from splatcloud.scene import ContributionState, activate, cholesky3, dot3, filter_scene
 from splatcloud.types import RawGaussians
 
-from conftest import random_scene
+from conftest import random_records, random_scene
 
 
 def single_gaussian_scene(log_scale=(0.0, 0.0, 0.0), rotation=(1.0, 0, 0, 0)):
@@ -307,7 +309,7 @@ def test_three_term_sums_keep_their_order():
     left_to_right = [(x0 * y0 + x1 * y1) + x2 * y2
                      for (x0, x1, x2), (y0, y1, y2) in zip(a.tolist(), b.tolist())]
     assert expected != left_to_right
-    assert sampler._dot3(a, b).tolist() == expected
+    assert dot3(a, b).tolist() == expected
 
 
 @pytest.mark.parametrize("into_cloud", [False, True], ids=["own-arrays", "into-cloud"])
@@ -511,3 +513,39 @@ def test_batches_group_by_count():
     # seeds derive from (global seed, smallest member, count)
     assert batches[0].rng_seed == derive_batch_seed(5, 0, 3)
     assert batches[1].rng_seed == derive_batch_seed(5, 1, 7)
+
+
+def test_negative_seed_is_domain_error(rng):
+    scene = random_scene(rng, 10)
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        generate_pointcloud(scene, 100, SamplerConfig(seed=-1, threads=1))
+    with pytest.raises(DomainError, match="seed"):
+        derive_batch_seed(-1, 0, 1)
+
+
+def test_factors_from_every_epsilon_rung_survive_filtering(monkeypatch):
+    # one axis near e^11 beside axes at e^-30 or e^-40 leaves rounding in the
+    # thin directions that the first epsilon rung does not cover, so the rows
+    # factorise on different rungs; the row at e^400 exhausts the ladder
+    rng = np.random.default_rng(3)
+    records = random_records(rng, 60, log_scale_range=(-3.0, 0.0))
+    records.log_scale[::2, 0] = rng.uniform(10.0, 12.0, 30)
+    records.log_scale[::3, 1] = -30.0
+    records.log_scale[::5, 2] = -40.0
+    records.log_scale[7] = 400.0
+    activated = activate(records)
+    assert activated.count == 59
+    monkeypatch.setattr(scene_module, "CHOLESKY_ATTEMPTS", 1)
+    assert activate(records).count < activated.count  # some rows needed a later rung
+    scene = filter_scene(activated, FilterConfig(min_opacity=0.5))
+    assert 0 < scene.count < activated.count
+
+    factor, ok = cholesky3(scene.covariance)
+    assert ok.all()
+    assert factor.tolist() == [cholesky3_reference(c) for c in scene.covariance.tolist()]
+    batch = SampleBatch(np.arange(scene.count), 7, derive_batch_seed(2, 0, 7))
+    expected = sample_batch_reference(batch, scene, 2.0, 3)
+    got = sample_batch(batch, scene, 2.0, 3)
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1].tobytes() == expected[1].tobytes()
+    assert got[2].tolist() == expected[2].tolist() and got[3] == expected[3]

@@ -9,6 +9,7 @@ from splatcloud.errors import DomainError
 from splatcloud.scene import (
     ContributionState,
     activate,
+    cholesky3,
     cull_unrendered,
     filter_scene,
     quats_to_rotmats,
@@ -117,7 +118,9 @@ def test_eigenvalues_match_scales(rng):
 
 def test_scene_cholesky_matches_covariance(rng):
     scene = random_scene(rng, 50)
-    recon = scene.cov_cholesky @ np.transpose(scene.cov_cholesky, (0, 2, 1))
+    factor, ok = cholesky3(scene.covariance)
+    assert ok.all()
+    recon = factor @ np.transpose(factor, (0, 2, 1))
     np.testing.assert_allclose(recon, scene.covariance, rtol=1e-10, atol=1e-12)
 
 
@@ -139,7 +142,7 @@ def test_activate_in_blocks_keeps_every_byte(monkeypatch, rng, block_rows):
     blocked = activate(records)
     assert blocked.count == 27
     for name in ("position", "log_scale", "rotation_unit", "opacity", "covariance",
-                 "cov_cholesky", "base_colour"):
+                 "base_colour"):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
 
 

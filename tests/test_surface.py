@@ -8,13 +8,14 @@ from reference import (
     merge_best,
     sample_scene_reference,
     sor_reference,
+    sum3_reference,
 )
 from splatcloud.config import RenderConfig, SurfaceConfig
 from splatcloud.errors import DomainError
 from splatcloud import surface
 from splatcloud.renderer import project, render_all
 from splatcloud.sampler import SampleBatch  # noqa: F401  (re-exported surface input)
-from splatcloud.scene import ContributionState, activate
+from splatcloud.scene import ContributionState, activate, quats_to_rotmats
 from splatcloud.surface import (
     export_surface_cloud,
     remove_statistical_outliers,
@@ -126,6 +127,28 @@ def test_normals_unit_and_towards_camera(rng):
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
     dots = np.einsum("nj,nj->n", normals, centres - scene.position)
     assert np.all(dots >= 0.0)
+
+
+def test_orientation_sum_keeps_its_order(rng):
+    # each row's products normal_j * towards_j are about (1e16, -1e16, -1):
+    # added as (p0 + p2) + p1 they cancel to 0 and the normal stays, while a
+    # left-to-right sum gives -1 and would flip it
+    n = 50
+    scene = activate(RawGaussians(
+        position=np.zeros((n, 3)), log_scale=np.tile([0.0, 0.0, -1.0], (n, 1)),
+        rotation=rng.standard_normal((n, 4)), logit_opacity=np.full(n, 2.0),
+        sh_dc=np.zeros((n, 3))))
+    axis = quats_to_rotmats(scene.rotation_unit)[:, :, 2]
+    centres = np.stack([1e16 / axis[:, 0], -1e16 / axis[:, 1], -1.0 / axis[:, 2]], axis=1)
+    scene.contribution = ContributionState.initial(n)
+    scene.contribution.best_contribution[:] = 1.0
+    scene.contribution.best_camera_centre[:] = centres
+    products = (axis * centres).tolist()
+    expected = [sum3_reference(*row) < 0.0 for row in products]
+    left_to_right = [(p0 + p1) + p2 < 0.0 for p0, p1, p2 in products]
+    assert expected != left_to_right
+    flipped = (surface_normals(scene) != axis).any(axis=1)
+    assert flipped.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
