@@ -12,19 +12,27 @@ rows of its parent whose box overlaps it. Each pixel composites its
 Gaussians in depth order with the same floating-point operations in the
 same order however the image is tiled or a tile is chunked. The rendered
 planes and the per-Gaussian best contributions are therefore byte-identical
-for any tile layout (subdivided or not), chunk size and thread count.
+for any tile layout (subdivided or not), chunk size and worker count.
+
+A tile composites its members in runs of about ``_CHUNK_PAIRS`` (member,
+pixel) pairs. A run skips members whose clipped box holds no pixel left
+live by the runs before it, and drops the pairs of the others at such
+pixels, as 3DGS's tile-level early termination does. ``render_all``
+renders whole views in forked worker processes, each compositing its tiles
+serially, and merges their candidates here; views are independent and the
+contribution merge is a total order, so the merge order changes no byte.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RenderConfig, map_threads
+from .config import RenderConfig, fork_workers, map_forked, map_threads
 from .errors import DomainError
 from .formats import atomic_write
 from .sampler import quantize_colours
@@ -40,9 +48,9 @@ TRANSMITTANCE_EPS = 1e-4
 COV2D_LOWPASS = 0.3
 
 # Size, in (member, pixel) pairs, of the runs of whole members composited in
-# one step. Pairs at pixels terminated by an earlier run are dropped, so
-# shorter runs skip more work at a higher per-step overhead.
-_CHUNK_PAIRS = 1 << 16
+# one step. Members and pairs at pixels terminated by an earlier run are
+# dropped, so shorter runs skip more work at a higher per-step overhead.
+_CHUNK_PAIRS = 1 << 15
 
 # Side of the base tile grid, in pixels.
 TILE_SIZE = 64
@@ -50,7 +58,7 @@ TILE_SIZE = 64
 # quadrants. The split changes no byte; it bounds the (depth + 1) x
 # active-pixels cumprod grid that composite_tile builds per run, where one
 # pixel can be up to _CHUNK_PAIRS deep. Without it one 64x64 tile can build a
-# grid of about 2 GB.
+# grid of about 1 GB.
 TILE_BUDGET = 1 << 24
 
 
@@ -237,9 +245,11 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
     """Composite one tile front to back and report best-pixel candidates.
 
     Each member's box, clipped to the tile, expands into (member, pixel)
-    pairs, a run of whole members at a time in depth order. Pairs at pixels
-    whose transmittance fell below the early-out in an earlier run are
-    dropped before their falloff is evaluated.
+    pairs, a run of whole members at a time in depth order. Pixels whose
+    transmittance fell below the early-out in an earlier run are dead: a
+    member whose box holds no live pixel (counted with a summed-area table)
+    makes no pairs, and pairs at dead pixels are dropped before their
+    falloff is evaluated.
 
     Writes the tile's rect into ``buffers`` and returns the tile's
     candidates; ``render_image`` merges them into the contribution state.
@@ -294,12 +304,21 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
         all_pixels = np.arange(npix)
 
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            counts = area[lo:hi]
-            member = np.repeat(np.arange(lo, hi), counts)
+            run_rows = np.arange(lo, hi)
+            if done.any():
+                # live pixels in each box: a summed-area table of ~done
+                table = np.zeros((height + 1, width + 1), dtype=np.int64)
+                np.cumsum(np.cumsum(~done.reshape(height, width), axis=0), axis=1,
+                          out=table[1:, 1:])
+                x0, y0, x1, y1 = box[lo:hi].T
+                live_px = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
+                run_rows = run_rows[live_px > 0]
+            counts = area[run_rows]
+            member = np.repeat(run_rows, counts)
             offset = np.arange(len(member)) - np.repeat(np.cumsum(counts) - counts, counts)
-            local_y, local_x = np.divmod(offset, np.repeat(box_w[lo:hi], counts))
-            local_x += np.repeat(box[lo:hi, 0], counts)
-            local_y += np.repeat(box[lo:hi, 1], counts)
+            local_y, local_x = np.divmod(offset, np.repeat(box_w[run_rows], counts))
+            local_x += np.repeat(box[run_rows, 0], counts)
+            local_y += np.repeat(box[run_rows, 1], counts)
             pixel = local_y * width + local_x
             live = np.flatnonzero(~done[pixel])
             member, pixel = member[live], pixel[live]
@@ -379,7 +398,11 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
                  image_rank: int = 0,
                  contributions: ContributionState | None = None,
                  ) -> tuple[ImageBuffers, RenderStats]:
-    """Render one camera view, updating ``contributions`` when given."""
+    """Render one camera view, offering each tile's candidates to ``contributions``.
+
+    ``contributions`` may be anything with :meth:`ContributionState.offer`'s
+    signature, or ``None``.
+    """
     stats = RenderStats(images_rendered=1)
     projected = project(scene, pose)
 
@@ -431,22 +454,48 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
     if config.save_renders is not None:
         Path(config.save_renders).mkdir(parents=True, exist_ok=True)
 
-    views = []
-    started = time.perf_counter()
-    for rank, pose in enumerate(ordered):
-        buffers, stats = render_image(scene, pose, config, rank, scene.contribution)
-        views.append(stats)
+    # Whole views go to worker processes that composite serially; without
+    # them, one view at a time splits its tiles over threads.
+    workers = fork_workers(config.threads, len(ordered))
+    view_config = replace(config, threads=1) if workers > 1 else config
+
+    def render_view(rank):
+        recorder = _Recorder()
+        buffers, stats = render_image(scene, ordered[rank], view_config, rank, recorder)
         if config.save_renders is not None:
             write_ppm(Path(config.save_renders) / f"render_{rank:04d}.ppm", buffers.image)
+        return rank, stats, recorder.offers
+
+    views = {}
+    started = time.perf_counter()
+
+    def merge(result):
+        rank, stats, offers = result
+        pose = ordered[rank]
+        for gaussians, values, colours, pixel_index in offers:
+            scene.contribution.offer(gaussians, values, colours, rank, pixel_index,
+                                     pose.camera_centre)
+        views[rank] = stats
         elapsed = time.perf_counter() - started
-        remaining = len(ordered) - rank - 1
         log.info("rendered view %d/%d (image_id=%s), %.1fs elapsed, ETA %.1fs",
-                 rank + 1, len(ordered), pose.image_id, elapsed,
-                 elapsed / (rank + 1) * remaining)
-    total = RenderStats(**{f.name: sum(getattr(v, f.name) for v in views)
+                 len(views), len(ordered), pose.image_id, elapsed,
+                 elapsed / len(views) * (len(ordered) - len(views)))
+
+    map_forked(render_view, range(len(ordered)), workers, merge)
+    total = RenderStats(**{f.name: sum(getattr(v, f.name) for v in views.values())
                            for f in fields(RenderStats)})
-    total.max_tile_product = max(v.max_tile_product for v in views)
+    total.max_tile_product = max(v.max_tile_product for v in views.values())
     return total
+
+
+class _Recorder:
+    """Keeps what each :meth:`ContributionState.offer` call is given, for a later replay."""
+
+    def __init__(self):
+        self.offers = []
+
+    def offer(self, gaussians, values, colours, image_rank, pixel_index, camera_centre):
+        self.offers.append((gaussians, values, colours, pixel_index))
 
 
 def write_ppm(path, image: np.ndarray) -> None:

@@ -9,13 +9,20 @@ import numpy as np
 import pytest
 
 from reference import read_cloud
-from splatcloud import pipeline
+from splatcloud import pipeline, renderer
 from splatcloud.cli import main
 from splatcloud.errors import DomainError, UsageError
 from splatcloud.pipeline import detect_format, surface_output_path
 from splatcloud.scene import activate
 
-from conftest import SRC, random_records, write_colmap_bin, write_colmap_txt, write_scene_ply
+from conftest import (
+    SRC,
+    assert_no_child_left,
+    random_records,
+    write_colmap_bin,
+    write_colmap_txt,
+    write_scene_ply,
+)
 
 
 @pytest.fixture
@@ -298,6 +305,28 @@ def test_surface_failure_keeps_the_complete_main_cloud(tmp_path, scene_ply, colm
     assert len(read_cloud(out)) > 0
     assert not surface_output_path(out).exists()
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("failing_rank", [0, 1], ids=["parent", "child"])
+def test_failing_view_worker_is_a_render_error(tmp_path, scene_ply, colmap_dir, monkeypatch,
+                                               capsys, forks, failing_rank):
+    # at 2 workers this process renders view 0 and one forked child view 1
+    real_render_image = renderer.render_image
+
+    def render_image(scene, pose, config, image_rank=0, contributions=None):
+        if image_rank == failing_rank:
+            raise DomainError(f"view {image_rank} cannot be rendered")
+        return real_render_image(scene, pose, config, image_rank, contributions)
+
+    monkeypatch.setattr(renderer, "render_image", render_image)
+    out = tmp_path / "cloud.ply"
+    assert main([str(scene_ply), str(out), "--cameras", str(colmap_dir),
+                 "--num-points", "200", "--threads", "2"]) == 1
+    assert len(forks) == 1
+    assert f"[render] view {failing_rank} cannot be rendered" in capsys.readouterr().err
+    assert not out.exists()
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    assert_no_child_left()
 
 
 def test_cameras_empty_json_warns(tmp_path, scene_ply, caplog):

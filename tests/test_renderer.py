@@ -1,5 +1,6 @@
 """Projection, tiling and compositing against independent oracles."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +405,51 @@ def test_pair_chunking_is_exact_and_drops_terminated_pixels(rng, monkeypatch):
             assert column.tobytes() == other_column.tobytes()
 
 
+def test_deep_pixels_and_dead_members_composite_exactly(monkeypatch):
+    # three opaque layers terminate the top-left 8x8 block and 20 small
+    # members sit wholly behind it; 1100 faint members stack on pixel (12, 12)
+    opaque, faint, hidden = 3, 1100, 20
+    n = opaque + faint + hidden
+    rng = np.random.default_rng(5)
+    mean2d = np.concatenate([np.full((opaque, 2), 4.0), np.full((faint, 2), 12.5),
+                             rng.uniform(1.0, 7.0, (hidden, 2))])
+    corner = np.floor(mean2d[-hidden:]).astype(np.int64) - 1
+    bbox = np.concatenate([np.tile([0, 0, 8, 8], (opaque, 1)),
+                           np.tile([12, 12, 13, 13], (faint, 1)),
+                           np.concatenate([corner, corner + 2], axis=1)])
+    cov2d = np.tile(np.eye(2), (n, 1, 1))
+    cov2d[:opaque] *= 1e4
+    opacity = np.concatenate([np.full(opaque, 0.995), np.full(faint, 0.005),
+                              np.full(hidden, 0.5)])
+    projected = synthetic_projection(n, mean2d, np.arange(1.0, n + 1), opacity, bbox, cov2d)
+    scene = colour_scene(rng.uniform(0.0, 1.0, (n, 3)), opacity)
+    tile = Tile(0, 0, 16, 16, members=np.arange(n))
+    image, t_final, weight_sum, terminated, best = composite_reference(
+        projected, scene.base_colour, (0.0, 0.0, 0.0), 16, 16)
+    assert terminated[:8, :8].all() and not terminated[12, 12]
+    assert len(best) > opaque + 1000, "the faint stack must stay live past depth 1000"
+
+    runs = []
+    for chunk_pairs in (1, 509, renderer._CHUNK_PAIRS):
+        monkeypatch.setattr(renderer, "_CHUNK_PAIRS", chunk_pairs)
+        buffers = ImageBuffers.allocate(16, 16)
+        result = composite_tile(tile, projected, scene, buffers)
+        np.testing.assert_allclose(buffers.image, image, atol=1e-9)
+        np.testing.assert_allclose(buffers.t_final, t_final, atol=1e-9)
+        np.testing.assert_allclose(buffers.weight_sum, weight_sum, atol=1e-9)
+        np.testing.assert_array_equal(buffers.terminated, terminated)
+        assert sorted(result.rows) == sorted(best)
+        for row, value, pixel, colour in zip(result.rows, result.values, result.pixel_index,
+                                             result.colours):
+            assert (value, pixel) == (pytest.approx(best[row][0], rel=1e-9), best[row][1])
+            np.testing.assert_allclose(colour, best[row][2], atol=1e-9)
+        runs.append([buffers.image, buffers.t_final, buffers.weight_sum, buffers.terminated,
+                     result.rows, result.values, result.pixel_index, result.colours])
+
+    for other in runs[1:]:
+        assert [a.tobytes() for a in other] == [a.tobytes() for a in runs[0]]
+
+
 def test_transmittance_conservation(rng):
     scene = random_scene(rng, 18, spread=1.0)
     pose = frontal_pose(width=64, height=64, focal=55.0)
@@ -570,6 +616,88 @@ def test_save_renders_writes_ppm(rng, tmp_path):
     data = ppm.read_bytes()
     assert data.startswith(b"P6\n20 10\n255\n")
     assert len(data) == len(b"P6\n20 10\n255\n") + 20 * 10 * 3
+
+
+# ---------------------------------------------------------------------------
+# render_all in forked worker processes
+
+
+def state_bytes(state: ContributionState) -> list[bytes]:
+    return [column.tobytes() for column in (
+        state.best_contribution, state.best_colour, state.best_image_rank,
+        state.best_pixel_index, state.best_camera_centre)]
+
+
+def ppm_bytes(directory) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.fixture
+def four_views(rng, monkeypatch):
+    # 16-pixel tiles, so a Gaussian offers candidates from several tiles per view
+    monkeypatch.setattr(renderer, "TILE_SIZE", 16)
+    scene = random_scene(rng, 30, spread=1.2)
+    poses = [orbit_pose(i, a, width=48, height=40, focal=40.0)
+             for i, a in enumerate([0.0, 1.3, 2.6, 4.0])]
+    return scene, poses
+
+
+def test_worker_processes_match_the_serial_loop(four_views, tmp_path, forks):
+    scene, poses = four_views
+    # one view after another, offering straight into one state
+    expected_state = ContributionState.initial(scene.count)
+    (tmp_path / "serial").mkdir()
+    for rank, pose in enumerate(poses):
+        buffers, _ = render_image(scene, pose, RenderConfig(threads=1), rank, expected_state)
+        write_ppm(tmp_path / "serial" / f"render_{rank:04d}.ppm", buffers.image)
+
+    stats = []
+    for workers in (1, 2, 3):
+        forks.clear()
+        config = RenderConfig(threads=workers, save_renders=tmp_path / str(workers))
+        stats.append(render_all(scene, poses, config))
+        assert len(forks) == workers - 1
+        assert state_bytes(scene.contribution) == state_bytes(expected_state)
+        assert ppm_bytes(config.save_renders) == ppm_bytes(tmp_path / "serial")
+    assert stats[0] == stats[1] == stats[2]
+    assert stats[0].images_rendered == 4
+
+
+def test_worker_count_is_capped_by_the_views(four_views, forks):
+    scene, poses = four_views
+    render_all(scene, poses[:2], RenderConfig(threads=64))
+    assert len(forks) == 1
+
+
+def test_no_fork_while_another_thread_runs(four_views, tmp_path, forks):
+    scene, poses = four_views
+    render_all(scene, poses, RenderConfig(threads=1, save_renders=tmp_path / "serial"))
+    expected = state_bytes(scene.contribution)
+
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        render_all(scene, poses, RenderConfig(threads=2, save_renders=tmp_path / "threaded"))
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert forks == []
+    assert state_bytes(scene.contribution) == expected
+    assert ppm_bytes(tmp_path / "threaded") == ppm_bytes(tmp_path / "serial")
+
+
+def test_progress_is_logged_as_each_forked_view_arrives(four_views, caplog, forks):
+    scene, poses = four_views
+    with caplog.at_level("INFO", logger="splatcloud.renderer"):
+        render_all(scene, poses, RenderConfig(threads=2))
+    assert len(forks) == 1
+    lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert [line.split(" (")[0] for line in lines] == [
+        f"rendered view {i}/4" for i in range(1, 5)]
+    assert sorted(line.split("image_id=")[1].split(")")[0] for line in lines) == [
+        "0", "1", "2", "3"]
 
 
 def test_write_ppm_quantisation(tmp_path):
