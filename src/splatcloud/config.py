@@ -46,30 +46,24 @@ def map_threads(fn, items, threads: int) -> list:
     return [fn(item) for item in items]
 
 
-def fork_workers(threads: int, items: int) -> int:
-    """Processes :func:`map_forked` should use for ``items`` items; 1 means no fork.
+def map_forked(fn, items, threads: int, on_result) -> None:
+    """``on_result(fn(item))`` for every item, with ``fn`` run in worker processes.
 
-    Forks only where ``os.fork`` exists and this process runs no other
-    thread, since a forked child gets a copy of every lock but only the
-    calling thread.
-    """
-    if items < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(resolve_workers(threads), items)
-
-
-def map_forked(fn, items, workers: int, on_result) -> None:
-    """``on_result(fn(item))`` for every item, with ``fn`` run in ``workers`` processes.
-
-    Item i goes to worker i % workers. Worker 0 is this process; the others
-    are forked children that pickle each result, or the exception that
-    stopped them, back through a pipe. ``on_result`` runs in this process,
-    in arrival order. A child leaves only through ``os._exit``, so no frame
-    it copied from this process runs a ``finally`` or an exit handler there.
-    On any failure the other children are killed, and every child is reaped
-    before this returns or raises.
+    Uses ``--threads`` workers, at most one per item, and only this process
+    where ``os.fork`` is missing or another thread runs, since a forked child
+    gets a copy of every lock but only the calling thread. Item i goes to
+    worker i % workers. Worker 0 is this process; the others are forked
+    children that pickle each result, or the exception that stopped them,
+    back through a pipe. ``on_result`` runs in this process, in arrival
+    order. A child leaves only through ``os._exit``, so no frame it copied
+    from this process runs a ``finally`` or an exit handler there. On any
+    failure the other children are killed, and every child is reaped before
+    this returns or raises.
     """
     items = list(items)
+    workers = max(1, min(resolve_workers(threads), len(items)))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
     pids, pending = [], []
     received = 0
 
@@ -235,8 +229,8 @@ def _within(low, high):
 def _threads():
     # RenderConfig and SamplerConfig each need it; PipelineConfig inherits one field.
     return option(0, "workers, 0 = one per usable CPU: processes for the colour pass (one "
-                  "view each), threads for sampling and outlier removal; results do not "
-                  "depend on N", "N", check=_at_least(0))
+                  "view each, so one view runs in one process), threads for sampling and "
+                  "outlier removal; results do not depend on N", "N", check=_at_least(0))
 
 
 @dataclass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -120,18 +121,61 @@ def _load_cameras(path: Path):
     raise UsageError(f"{path}: expected a COLMAP directory or transforms .json, found {fmt}")
 
 
+# The files load_cameras_colmap may read from a model directory.
+_COLMAP_FILES = ("cameras.bin", "images.bin", "cameras.txt", "images.txt")
+
+
 def surface_output_path(output: Path) -> Path:
     return output.with_name(output.stem + "_surface.ply")
 
 
+def _check_outputs(config: PipelineConfig) -> None:
+    """Raise :class:`UsageError` for an output path that cannot be written or names an input.
+
+    The main output and, under ``--mesh-prep``, its ``_surface.ply`` sibling
+    must be a file in an existing directory and must not be an input: the
+    scene, the cameras path or a COLMAP model file in it, through a symlink
+    or hard link either. An existing output file may be replaced.
+    """
+    inputs = [Path(config.input_gaussians)]
+    if config.input_cameras is not None:
+        cameras = Path(config.input_cameras)
+        inputs.append(cameras)
+        if cameras.is_dir():
+            inputs += [cameras / name for name in _COLMAP_FILES]
+
+    def check(path: Path) -> None:
+        if path.is_dir():
+            raise UsageError(f"{path}: the output is a directory")
+        if not path.parent.is_dir():
+            raise UsageError(f"{path}: no such directory {path.parent}")
+        for source in inputs:
+            if _same_file(path, source):
+                raise UsageError(f"{path}: the output would replace the input {source}")
+
+    output = Path(config.output)
+    check(output)
+    if config.mesh_prep:
+        check(surface_output_path(output))
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    if a.exists() and b.exists():
+        return os.path.samefile(a, b)  # links count
+    return a.resolve() == b.resolve()
+
+
 def run(config: PipelineConfig) -> PipelineStats:
     """Execute the full conversion; raises PipelineError with the failing stage.
+
+    The options and output paths are checked before any input is read.
 
     Each output file appears only once it is complete, so a failure leaves
     no partial file behind; a failure in the surface stage keeps the main
     cloud already written.
     """
     config.validate()
+    _check_outputs(config)
     stats = PipelineStats()
     clock = _StageClock()
     total_start = time.perf_counter()

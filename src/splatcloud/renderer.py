@@ -17,22 +17,24 @@ for any tile layout (subdivided or not), chunk size and worker count.
 A tile composites its members in runs of about ``_CHUNK_PAIRS`` (member,
 pixel) pairs. A run skips members whose clipped box holds no pixel left
 live by the runs before it, and drops the pairs of the others at such
-pixels, as 3DGS's tile-level early termination does. ``render_all``
-renders whole views in forked worker processes, each compositing its tiles
-serially, and merges their candidates here; views are independent and the
-contribution merge is a total order, so the merge order changes no byte.
+pixels, as 3DGS's tile-level early termination does. Whole views are the
+only unit of parallel work: ``render_all`` renders them in forked worker
+processes (or one after another where it cannot fork), each compositing
+its tiles serially, and merges their candidates here; views are
+independent and the contribution merge is a total order, so the merge
+order changes no byte.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import RenderConfig, fork_workers, map_forked, map_threads
+from .config import RenderConfig, map_forked
 from .errors import DomainError
 from .formats import atomic_write
 from .sampler import quantize_colours
@@ -400,6 +402,8 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
                  ) -> tuple[ImageBuffers, RenderStats]:
     """Render one camera view, offering each tile's candidates to ``contributions``.
 
+    Composites the tiles one after another, in ``tile_scene``'s order.
+
     ``contributions`` may be anything with :meth:`ContributionState.offer`'s
     signature, or ``None``.
     """
@@ -412,14 +416,8 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
     stats.max_tile_product = max((t.product for t in tiles), default=0)
 
     buffers = ImageBuffers.allocate(pose.width, pose.height)
-
-    def run_tile(tile: Tile) -> TileComposite:
-        return composite_tile(tile, projected, scene, buffers, background=config.background)
-
-    results = map_threads(run_tile, tiles, config.threads)
-
-    stats.pixels_terminated = int(np.count_nonzero(buffers.terminated))
-    for piece in results:
+    for tile in tiles:
+        piece = composite_tile(tile, projected, scene, buffers, background=config.background)
         stats.singular_skips += piece.singular_skips
         stats.pairs_evaluated += piece.pairs_evaluated
         if contributions is not None and len(piece.rows):
@@ -427,6 +425,7 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
                 projected.gaussian_index[piece.rows], piece.values, piece.colours,
                 image_rank, piece.pixel_index, pose.camera_centre,
             )
+    stats.pixels_terminated = int(np.count_nonzero(buffers.terminated))
     return buffers, stats
 
 
@@ -454,14 +453,11 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
     if config.save_renders is not None:
         Path(config.save_renders).mkdir(parents=True, exist_ok=True)
 
-    # Whole views go to worker processes that composite serially; without
-    # them, one view at a time splits its tiles over threads.
-    workers = fork_workers(config.threads, len(ordered))
-    view_config = replace(config, threads=1) if workers > 1 else config
-
+    # Each view composites its tiles serially; map_forked spreads the views
+    # over worker processes where it can fork.
     def render_view(rank):
         recorder = _Recorder()
-        buffers, stats = render_image(scene, ordered[rank], view_config, rank, recorder)
+        buffers, stats = render_image(scene, ordered[rank], config, rank, recorder)
         if config.save_renders is not None:
             write_ppm(Path(config.save_renders) / f"render_{rank:04d}.ppm", buffers.image)
         return rank, stats, recorder.offers
@@ -481,7 +477,7 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
                  len(views), len(ordered), pose.image_id, elapsed,
                  elapsed / len(views) * (len(ordered) - len(views)))
 
-    map_forked(render_view, range(len(ordered)), workers, merge)
+    map_forked(render_view, range(len(ordered)), config.threads, merge)
     total = RenderStats(**{f.name: sum(getattr(v, f.name) for v in views.values())
                            for f in fields(RenderStats)})
     total.max_tile_product = max(v.max_tile_product for v in views.values())

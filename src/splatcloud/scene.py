@@ -129,8 +129,8 @@ class ContributionState:
     background colour and is replaced by the colour of the pixel with the
     largest contribution seen so far. The auxiliary image-rank / pixel-index /
     camera-centre columns make the update a total order, so merges commute
-    (any tile or thread order gives the same state) and record which camera
-    saw each Gaussian best.
+    (any tile order, and any arrival order of the forked views, gives the
+    same state) and record which camera saw each Gaussian best.
     """
 
     best_contribution: np.ndarray

@@ -406,6 +406,52 @@ def test_inverted_bbox_fails_before_any_input_is_read(tmp_path, capsys):
     assert "--bbox min corner must not exceed the max corner" in capsys.readouterr().err
 
 
+# (arguments, error text), run in a directory holding scene.ply, a hard link
+# and a symlink to it, a copy named x_surface.ply, transforms.json, the
+# COLMAP model sparse/, and the directories outdir and y_surface.ply
+BAD_OUTPUTS = {
+    "scene": (["scene.ply", "scene.ply"], "the output would replace the input scene.ply"),
+    "scene-symlink": (["scene.ply", "link.ply"], "the output would replace the input"),
+    "scene-hard-link": (["scene.ply", "hard.ply"], "the output would replace the input"),
+    "cameras": (["scene.ply", "transforms.json", "--cameras", "transforms.json"],
+                "the output would replace the input transforms.json"),
+    "surface-is-scene": (["x_surface.ply", "x.ply", "--cameras", "transforms.json",
+                          "--mesh-prep"],
+                         "x_surface.ply: the output would replace the input x_surface.ply"),
+    "no-directory": (["scene.ply", "nodir/out.ply"], "no such directory nodir"),
+    "dot": (["scene.ply", "."], ".: the output is a directory"),
+    "directory": (["scene.ply", "outdir"], "outdir: the output is a directory"),
+    "surface-is-directory": (["scene.ply", "y.ply", "--cameras", "transforms.json",
+                              "--mesh-prep"], "y_surface.ply: the output is a directory"),
+    "colmap-model-file": (["scene.ply", "sparse/images.bin", "--cameras", "sparse"],
+                          "the output would replace the input sparse/images.bin"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OUTPUTS))
+def test_bad_output_fails_before_any_input_is_read(tmp_path, scene_ply, colmap_dir,
+                                                   monkeypatch, capsys, case):
+    argv, message = BAD_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "transforms.json").write_text(json.dumps({
+        "camera_angle_x": 0.9, "w": 32, "h": 32,
+        "frames": [{"file_path": "a", "transform_matrix": np.eye(4).tolist()}]}))
+    (tmp_path / "x_surface.ply").write_bytes(scene_ply.read_bytes())
+    (tmp_path / "link.ply").symlink_to("scene.ply")
+    os.link(scene_ply, tmp_path / "hard.ply")
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "y_surface.ply").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    loaded = []
+    monkeypatch.setattr(pipeline, "_load_gaussians", loaded.append)
+    monkeypatch.setattr(pipeline, "_load_cameras", loaded.append)
+
+    assert main([*argv, "--num-points", "200", "--threads", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert loaded == []
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config-file"])
 def test_negative_seed_is_usage_error(tmp_path, scene_ply, capsys, from_config):
     out = tmp_path / "cloud.ply"

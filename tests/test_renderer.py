@@ -1,5 +1,6 @@
 """Projection, tiling and compositing against independent oracles."""
 
+import os
 import threading
 from dataclasses import replace
 
@@ -30,7 +31,14 @@ from splatcloud.renderer import (
 )
 from splatcloud.scene import ContributionState, GaussianScene, activate
 
-from conftest import concat, frontal_pose, orbit_pose, random_records, random_scene
+from conftest import (
+    assert_no_child_left,
+    concat,
+    frontal_pose,
+    orbit_pose,
+    random_records,
+    random_scene,
+)
 
 
 def colour_scene(colours, opacities) -> GaussianScene:
@@ -686,6 +694,18 @@ def test_no_fork_while_another_thread_runs(four_views, tmp_path, forks):
     assert forks == []
     assert state_bytes(scene.contribution) == expected
     assert ppm_bytes(tmp_path / "threaded") == ppm_bytes(tmp_path / "serial")
+
+
+def test_no_fork_where_the_platform_has_none(four_views, tmp_path, monkeypatch):
+    scene, poses = four_views
+    render_all(scene, poses, RenderConfig(threads=1, save_renders=tmp_path / "serial"))
+    expected = state_bytes(scene.contribution)
+
+    monkeypatch.delattr(os, "fork")
+    render_all(scene, poses, RenderConfig(threads=2, save_renders=tmp_path / "no-fork"))
+    assert_no_child_left()
+    assert state_bytes(scene.contribution) == expected
+    assert ppm_bytes(tmp_path / "no-fork") == ppm_bytes(tmp_path / "serial")
 
 
 def test_progress_is_logged_as_each_forked_view_arrives(four_views, caplog, forks):

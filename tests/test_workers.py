@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-from splatcloud.config import fork_workers, map_forked, resolve_workers
+from splatcloud.config import map_forked, resolve_workers
 
 from conftest import assert_no_child_left
 
@@ -19,11 +19,15 @@ def test_auto_threads_follow_the_cpu_affinity(monkeypatch):
     assert resolve_workers(0) == 8
 
 
-def test_fork_workers_is_capped_by_the_items():
-    assert fork_workers(64, 3) == 3
-    assert fork_workers(2, 5) == 2
-    assert fork_workers(8, 1) == 1
-    assert fork_workers(1, 5) == 1
+def test_map_forked_is_capped_by_the_items(forks):
+    # (threads, items, children forked): this process is always one worker
+    for threads, items, forked in ((64, 3, 2), (2, 5, 1), (8, 1, 0), (1, 5, 0), (2, 0, 0)):
+        forks.clear()
+        got = []
+        map_forked(lambda i: i, range(items), threads, got.append)
+        assert sorted(got) == list(range(items))
+        assert len(forks) == forked, (threads, items)
+        assert_no_child_left()
 
 
 def test_map_forked_deals_items_round_robin(forks):
