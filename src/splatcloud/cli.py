@@ -10,6 +10,7 @@ override the file. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -135,5 +136,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Console-script entry point: :func:`main`, then freeze the heap for exit.
+
+    ``gc.freeze`` moves every live object into the permanent generation, so
+    the collections that interpreter shutdown runs skip the objects numpy and
+    scipy hold instead of walking them all. Atexit handlers, logging and
+    stream flushes and module teardown still run. ``main`` itself never
+    freezes, because tests and tracers call it in a process that goes on.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -67,7 +67,9 @@ def allocate(volumes, total: int, mode: str = "exact") -> np.ndarray:
     (remainder ties go to the larger volume, then the lower index). Binned
     mode rounds raw shares above 50 to the nearest multiple of 5 (half up)
     and smaller shares to the nearest integer; its total may deviate from
-    the request.
+    the request. Where that rounding would allocate fewer than half the
+    requested points (most shares below 0.5, which round to zero), binned
+    mode logs the fact and returns the exact apportionment instead.
     """
     volumes = np.asarray(volumes, dtype=np.float64)
     if total < 1:
@@ -82,11 +84,16 @@ def allocate(volumes, total: int, mode: str = "exact") -> np.ndarray:
 
     shares = total * (volumes / volume_sum)
     if mode == "binned":
-        return np.where(
+        counts = np.where(
             shares > BIN_THRESHOLD,
             _round_half_up(shares / BIN_WIDTH) * BIN_WIDTH,
             _round_half_up(shares),
         ).astype(np.int64)
+        binned = int(counts.sum())
+        if 2 * binned >= total:
+            return counts
+        log.info("binned allocation gives %d of %d points; using exact apportionment",
+                 binned, total)
 
     counts = np.floor(shares).astype(np.int64)
     shortfall = int(total - counts.sum())

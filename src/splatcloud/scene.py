@@ -92,6 +92,20 @@ def dot3(a, b):
     return (a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]
 
 
+def rotate_diagonal(rot, diagonal):
+    """``R diag(d) R^T`` for (N, 3, 3) ``rot`` and (N, 3) ``diagonal``.
+
+    Entry (i, k) adds the products ``(R_ij d_j) R_kj`` as ``(j0 + j1) + j2``,
+    the order numpy 2.4's ``einsum("nij,nj,nkj->nik")`` gave on x86-64, so
+    the covariances it replaced kept their bytes. All nine entries are
+    computed, none mirrored: the sums for (i, k) and (k, i) multiply in a
+    different order and need not round alike.
+    """
+    scaled = rot * diagonal[:, None, :]
+    terms = scaled[:, :, None, :] * rot[:, None, :, :]  # [n, i, k, j]
+    return (terms[..., 0] + terms[..., 1]) + terms[..., 2]
+
+
 def _regularised_covariances(log_scale: np.ndarray, rotation_unit: np.ndarray):
     """Batched Sigma = R diag(e^{2s}) R^T with the epsilon ladder applied.
 
@@ -99,9 +113,11 @@ def _regularised_covariances(log_scale: np.ndarray, rotation_unit: np.ndarray):
     that never factorise keep ok=False and are meant to be dropped.
     """
     rot = quats_to_rotmats(rotation_unit)
-    with np.errstate(over="ignore"):
+    # an infinite variance times a zero rotation entry gives NaN: the ladder
+    # below drops such rows like any other that does not factorise
+    with np.errstate(over="ignore", invalid="ignore"):
         variance = np.exp(2.0 * np.asarray(log_scale, dtype=np.float64))
-    cov = np.einsum("nij,nj,nkj->nik", rot, variance, rot)
+        cov = rotate_diagonal(rot, variance)
 
     eye = np.eye(3)
     out = cov.copy()

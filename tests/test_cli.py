@@ -1,5 +1,6 @@
 """CLI behaviour: format detection, exit codes, config files, stats output."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from reference import read_cloud
-from splatcloud import pipeline, renderer
+from splatcloud import cli, pipeline, renderer
 from splatcloud.cli import main
 from splatcloud.errors import DomainError, UsageError
 from splatcloud.pipeline import detect_format, surface_output_path
@@ -474,3 +475,55 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# process exit
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_entry_freezes_only_after_main_returns(monkeypatch, code):
+    # gc.freeze is replaced, so the test process never freezes its own heap
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.entry() == code
+    assert calls == ["main", "freeze"]
+
+
+def test_main_never_freezes(tmp_path, scene_ply, colmap_dir, monkeypatch):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    out = tmp_path / "cloud.ply"
+    assert main([str(scene_ply), str(out), "--cameras", str(colmap_dir), "--mesh-prep",
+                 "--num-points", "500", "--surface-points", "300", "--threads", "1"]) == 0
+    assert main([str(scene_ply), str(out), "--num-points", "0"]) == 2
+    assert frozen == []
+
+
+def run_module(*args):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "splatcloud.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_run_exits_with_complete_output(tmp_path, scene_ply, colmap_dir):
+    # --mesh-prep loads scipy, so the process exits with its largest heap frozen
+    out = tmp_path / "cloud.ply"
+    done = run_module(scene_ply, out, "--cameras", colmap_dir, "--mesh-prep",
+                      "--num-points", "500", "--surface-points", "300", "--threads", "1",
+                      "--stats-json")
+    assert done.returncode == 0, done.stderr
+    stats = json.loads(done.stdout)
+    assert list(stats) == ["gaussians", "cameras", "render", "points", "surface", "output",
+                           "surface_output", "timings_seconds"]
+    assert stats["timings_seconds"]["total"] > 0
+    assert len(read_cloud(out)) == stats["points"]["emitted"] > 0
+    assert len(read_cloud(surface_output_path(out))) == stats["surface"]["after_cleanup"] > 0
+
+
+def test_module_run_usage_error_exits_2(tmp_path, scene_ply):
+    done = run_module(scene_ply, tmp_path / "cloud.ply", "--num-points", "0")
+    assert done.returncode == 2
+    assert "--num-points must be >= 1, got 0" in done.stderr
+    assert not (tmp_path / "cloud.ply").exists()

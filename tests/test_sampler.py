@@ -1,6 +1,9 @@
 """Volumes, allocation, Mahalanobis rejection and point generation."""
 
+import importlib.util
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +137,38 @@ def test_allocate_binned_invariant(rng):
         counts = allocate(volumes, int(rng.integers(100, 20000)), "binned")
         big = counts[counts > 50]
         assert np.all(big % 5 == 0)
+
+
+def colour_pass_volumes():
+    """Volumes of the benchmark's colour-pass scene at seed 1 (12000 Gaussians)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    columns = gen.sphere_scene(np.random.default_rng([1, 12000]), 12000)
+    return gaussian_volume(columns["log_scale"])
+
+
+@pytest.mark.parametrize("total, binned", [(1000, 0), (5000, 1547)])
+def test_allocate_binned_falls_back_to_exact_below_half(caplog, total, binned):
+    # most shares of these requests are below 0.5 and round to zero
+    volumes = colour_pass_volumes()
+    with caplog.at_level(logging.INFO, logger="splatcloud.sampler"):
+        counts = allocate(volumes, total, "binned")
+    np.testing.assert_array_equal(counts, allocate(volumes, total, "exact"))
+    assert counts.sum() == total
+    assert f"binned allocation gives {binned} of {total} points" in caplog.text
+
+
+def test_allocate_binned_keeps_exactly_half(caplog):
+    # shares (0.93, 0.27 x4) bin to one point of two: half the request, kept;
+    # shares (1.4, 0.4 x4) bin to one point of three: exact apportionment
+    volumes = [14.0, 4.0, 4.0, 4.0, 4.0]
+    with caplog.at_level(logging.INFO, logger="splatcloud.sampler"):
+        np.testing.assert_array_equal(allocate(volumes, 2, "binned"), [1, 0, 0, 0, 0])
+        assert caplog.text == ""
+        np.testing.assert_array_equal(allocate(volumes, 3, "binned"), [1, 1, 1, 0, 0])
+    assert "binned allocation gives 1 of 3 points" in caplog.text
 
 
 def test_allocate_zero_volumes_error():

@@ -13,6 +13,7 @@ from splatcloud.scene import (
     cull_unrendered,
     filter_scene,
     quats_to_rotmats,
+    rotate_diagonal,
 )
 from splatcloud.types import RawGaussians
 
@@ -122,6 +123,24 @@ def test_scene_cholesky_matches_covariance(rng):
     assert ok.all()
     recon = factor @ np.transpose(factor, (0, 2, 1))
     np.testing.assert_allclose(recon, scene.covariance, rtol=1e-10, atol=1e-12)
+
+
+def test_rotate_diagonal_keeps_its_order():
+    # each entry adds (R_ij d_j) R_kj as (j0 + j1) + j2; on diagonals of mixed
+    # sizes another order, or mirroring one triangle, would change bytes
+    rng = np.random.default_rng(21)
+    quats = rng.standard_normal((500, 4))
+    rot = quats_to_rotmats(quats / np.linalg.norm(quats, axis=1, keepdims=True))
+    diagonal = rng.uniform(0.5, 2.0, (500, 3)) * 10.0 ** rng.integers(-8, 9, (500, 3))
+
+    def entries(add3):
+        return [[[add3(*(r[i][j] * d[j] * r[k][j] for j in range(3))) for k in range(3)]
+                 for i in range(3)] for r, d in zip(rot.tolist(), diagonal.tolist())]
+
+    expected = entries(lambda a0, a1, a2: (a0 + a1) + a2)
+    assert expected != entries(lambda a0, a1, a2: (a0 + a2) + a1)
+    assert any(m[i][k] != m[k][i] for m in expected for i, k in ((0, 1), (0, 2), (1, 2)))
+    assert rotate_diagonal(rot, diagonal).tolist() == expected
 
 
 def test_activate_drops_degenerate(rng):
