@@ -13,6 +13,7 @@ import argparse
 import gc
 import json
 import logging
+import signal
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -139,12 +140,16 @@ def main(argv=None) -> int:
 def entry() -> int:
     """Console-script entry point: :func:`main`, then freeze the heap for exit.
 
+    SIGTERM exits with status 143 (128 + 15) after unwinding as Ctrl-C does,
+    so the colour pass reaps its workers and no temporary file is left.
     ``gc.freeze`` moves every live object into the permanent generation, so
     the collections that interpreter shutdown runs skip the objects numpy and
     scipy hold instead of walking them all. Atexit handlers, logging and
-    stream flushes and module teardown still run. ``main`` itself never
-    freezes, because tests and tracers call it in a process that goes on.
+    stream flushes and module teardown still run. ``main`` itself neither
+    handles SIGTERM nor freezes: tests and tracers call it in a process
+    that goes on.
     """
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     code = main()
     gc.freeze()
     return code

@@ -3,13 +3,12 @@
 Two flavours are handled here: Gaussian-splat PLY files (one vertex per
 Gaussian, property names following the common ``f_dc_*``/``scale_*``/``rot_*``
 scheme) on the input side, and plain coloured point clouds on the output
-side. Property lookup is by name, so extra properties and arbitrary
-property order are tolerated.
+side. Property lookup is by name, so property order is free and other
+properties, the higher-order SH ``f_rest_*`` among them, are never read.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,8 +37,6 @@ _REQUIRED_PROPERTIES = (
     "scale_0", "scale_1", "scale_2",
     "rot_0", "rot_1", "rot_2", "rot_3",
 )
-
-_F_REST = re.compile(r"^f_rest_(\d+)$")
 
 # Vertex rows interleaved and written at once by write_pointcloud_ply.
 WRITE_BLOCK_ROWS = 1 << 16
@@ -190,15 +187,8 @@ def load_gaussians_ply(path) -> RawGaussians:
         if required not in names:
             raise FileFormatError(f"{path}: missing property: {required}")
 
-    rest_names = sorted(
-        (n for n in names if _F_REST.match(n)),
-        key=lambda n: int(_F_REST.match(n).group(1)),
-    )
-
     @np.errstate(invalid="ignore")  # widening a signalling NaN; drop_invalid removes its row
     def stack(columns):
-        if not columns:
-            return np.zeros((vertex.count, 0))
         # one cast of the picked fields to packed float64 fields, read as (N, k):
         # the one float64 copy, written row by row
         packed = np.dtype([(name, np.float64) for name in columns])
@@ -210,7 +200,6 @@ def load_gaussians_ply(path) -> RawGaussians:
         rotation=stack([f"rot_{i}" for i in range(4)]),
         logit_opacity=table["opacity"],
         sh_dc=stack(["f_dc_0", "f_dc_1", "f_dc_2"]),
-        sh_rest=stack(rest_names),
     )
     return raw.drop_invalid(path)
 

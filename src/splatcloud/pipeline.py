@@ -135,7 +135,8 @@ def _check_outputs(config: PipelineConfig) -> None:
     The main output and, under ``--mesh-prep``, its ``_surface.ply`` sibling
     must be a file in an existing directory and must not be an input: the
     scene, the cameras path or a COLMAP model file in it, through a symlink
-    or hard link either. An existing output file may be replaced.
+    or hard link either. An existing output file may be replaced. When the
+    colour pass runs, ``--save-renders`` must not be or lie under a file.
     """
     inputs = [Path(config.input_gaussians)]
     if config.input_cameras is not None:
@@ -157,6 +158,11 @@ def _check_outputs(config: PipelineConfig) -> None:
     check(output)
     if config.mesh_prep:
         check(surface_output_path(output))
+    if config.input_cameras is not None and config.save_renders is not None:
+        renders = Path(config.save_renders)
+        existing = next(p for p in (renders, *renders.parents) if p.exists())
+        if not existing.is_dir():
+            raise UsageError(f"{renders}: --save-renders needs a directory; {existing} is a file")
 
 
 def _same_file(a: Path, b: Path) -> bool:

@@ -54,10 +54,9 @@ class RawGaussians:
     """Gaussians exactly as stored on disk, before any activation; one row each.
 
     ``rotation`` holds raw (w, x, y, z) quaternions that may be unnormalised;
-    ``log_scale`` holds the log of the per-axis standard deviation.
-    ``sh_rest`` keeps any higher-order SH coefficients so that round trips
-    are lossless, but nothing downstream reads them. Every column is stored
-    as a C-contiguous float64 array.
+    ``log_scale`` holds the log of the per-axis standard deviation;
+    ``sh_dc`` holds the degree-0 SH coefficients, the only colour term the
+    pipeline reads. Every column is stored as a C-contiguous float64 array.
     """
 
     position: np.ndarray        # (N, 3)
@@ -65,7 +64,6 @@ class RawGaussians:
     rotation: np.ndarray        # (N, 4)
     logit_opacity: np.ndarray   # (N,)
     sh_dc: np.ndarray           # (N, 3)
-    sh_rest: np.ndarray | None = None  # (N, K); None means K = 0
 
     @np.errstate(invalid="ignore")  # widening a signalling NaN; drop_invalid removes its row
     def __post_init__(self):
@@ -73,12 +71,9 @@ class RawGaussians:
             values = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             setattr(self, name, values.reshape(-1, width))
         self.logit_opacity = np.ascontiguousarray(self.logit_opacity, dtype=np.float64).reshape(-1)
-        rest = np.zeros((len(self.position), 0)) if self.sh_rest is None else self.sh_rest
-        self.sh_rest = np.ascontiguousarray(rest, dtype=np.float64)
         lengths = {len(getattr(self, f.name)) for f in fields(self)}
-        if self.sh_rest.ndim != 2 or len(lengths) > 1:
-            raise DomainError(f"raw gaussian columns must be (N, ...) arrays with one N, "
-                              f"got lengths {sorted(lengths)} and sh_rest {self.sh_rest.shape}")
+        if len(lengths) > 1:
+            raise DomainError(f"raw gaussian columns must share one length, got {sorted(lengths)}")
 
     def __len__(self) -> int:
         return len(self.position)
@@ -88,8 +83,8 @@ class RawGaussians:
     def valid_rows(self) -> np.ndarray:
         """Boolean mask of the rows activation can use.
 
-        A row is valid only if every field read downstream (all but
-        ``sh_rest``) is finite and its quaternion has a non-zero norm.
+        A row is valid only if every field is finite and its quaternion has
+        a non-zero norm.
         """
         keep = np.isfinite(self.logit_opacity)
         for values in (self.position, self.log_scale, self.rotation, self.sh_dc):

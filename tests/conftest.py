@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import struct
 import sys
@@ -31,6 +32,15 @@ else:
     settings.register_profile("splatcloud", derandomize=True, deadline=None, database=None,
                               max_examples=100)
     settings.load_profile("splatcloud")
+
+
+def perfbench_gen():
+    """The benchmark's input generator, ``perfbench/gen.py``, as a module."""
+    path = SRC.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def random_records(rng, n, *, spread=1.0, log_scale_range=(-2.5, -0.5),
@@ -94,9 +104,16 @@ def orbit_pose(image_id, angle, width=64, height=64, focal=60.0, distance=5.0) -
 # ---------------------------------------------------------------------------
 # Scene fixture writers: the 3DGS PLY and .splat layouts the loaders read
 
-def write_scene_ply(raw: RawGaussians, path: Path, binary: bool = True) -> None:
-    """Write raw Gaussians in the 3DGS PLY layout, non-finite rows included."""
-    n_rest = raw.sh_rest.shape[1]
+def write_scene_ply(raw: RawGaussians, path: Path, binary: bool = True,
+                    sh_rest: np.ndarray | None = None) -> None:
+    """Write raw Gaussians in the 3DGS PLY layout, non-finite rows included.
+
+    ``sh_rest`` is an optional (N, K) array written as ``f_rest_0`` .. ``f_rest_{K-1}``
+    between ``f_dc_2`` and ``opacity``, as trained scenes store their higher-order SH.
+    """
+    if sh_rest is None:
+        sh_rest = np.zeros((len(raw), 0))
+    n_rest = sh_rest.shape[1]
     names = ["x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2",
              *(f"f_rest_{i}" for i in range(n_rest)),
              "opacity", "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3"]
@@ -106,7 +123,7 @@ def write_scene_ply(raw: RawGaussians, path: Path, binary: bool = True) -> None:
     header.append("end_header")
 
     rows = np.concatenate([
-        raw.position, raw.sh_dc, raw.sh_rest,
+        raw.position, raw.sh_dc, sh_rest,
         raw.logit_opacity[:, None], raw.log_scale, raw.rotation,
     ], axis=1).astype(np.float32)
     if binary:

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from splatcloud.scene import activate
 from conftest import (
     SRC,
     assert_no_child_left,
+    perfbench_gen,
     random_records,
     write_colmap_bin,
     write_colmap_txt,
@@ -409,7 +411,8 @@ def test_inverted_bbox_fails_before_any_input_is_read(tmp_path, capsys):
 
 # (arguments, error text), run in a directory holding scene.ply, a hard link
 # and a symlink to it, a copy named x_surface.ply, transforms.json, the
-# COLMAP model sparse/, and the directories outdir and y_surface.ply
+# COLMAP model sparse/, the file notes.txt and the directories outdir and
+# y_surface.ply
 BAD_OUTPUTS = {
     "scene": (["scene.ply", "scene.ply"], "the output would replace the input scene.ply"),
     "scene-symlink": (["scene.ply", "link.ply"], "the output would replace the input"),
@@ -426,6 +429,13 @@ BAD_OUTPUTS = {
                               "--mesh-prep"], "y_surface.ply: the output is a directory"),
     "colmap-model-file": (["scene.ply", "sparse/images.bin", "--cameras", "sparse"],
                           "the output would replace the input sparse/images.bin"),
+    "save-renders-is-file": (["scene.ply", "out.ply", "--cameras", "transforms.json",
+                              "--save-renders", "notes.txt"],
+                             "notes.txt: --save-renders needs a directory; notes.txt is a file"),
+    "save-renders-under-file": (["scene.ply", "out.ply", "--cameras", "transforms.json",
+                                 "--save-renders", "notes.txt/views"],
+                                "notes.txt/views: --save-renders needs a directory; "
+                                "notes.txt is a file"),
 }
 
 
@@ -440,6 +450,7 @@ def test_bad_output_fails_before_any_input_is_read(tmp_path, scene_ply, colmap_d
     (tmp_path / "x_surface.ply").write_bytes(scene_ply.read_bytes())
     (tmp_path / "link.ply").symlink_to("scene.ply")
     os.link(scene_ply, tmp_path / "hard.ply")
+    (tmp_path / "notes.txt").write_text("not a directory\n")
     (tmp_path / "outdir").mkdir()
     (tmp_path / "y_surface.ply").mkdir()
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
@@ -483,22 +494,26 @@ def test_cli_import_loads_no_scipy():
 
 @pytest.mark.parametrize("code", [0, 1, 2])
 def test_entry_freezes_only_after_main_returns(monkeypatch, code):
-    # gc.freeze is replaced, so the test process never freezes its own heap
+    # gc.freeze and signal.signal are replaced, so the test process never
+    # freezes its own heap or changes its own handlers
     calls = []
+    monkeypatch.setattr(signal, "signal", lambda signum, handler: calls.append(signum))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     assert cli.entry() == code
-    assert calls == ["main", "freeze"]
+    assert calls == [signal.SIGTERM, "main", "freeze"]
 
 
 def test_main_never_freezes(tmp_path, scene_ply, colmap_dir, monkeypatch):
     frozen = []
     monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    handler = signal.getsignal(signal.SIGTERM)
     out = tmp_path / "cloud.ply"
     assert main([str(scene_ply), str(out), "--cameras", str(colmap_dir), "--mesh-prep",
                  "--num-points", "500", "--surface-points", "300", "--threads", "1"]) == 0
     assert main([str(scene_ply), str(out), "--num-points", "0"]) == 2
     assert frozen == []
+    assert signal.getsignal(signal.SIGTERM) is handler
 
 
 def run_module(*args):
@@ -527,3 +542,54 @@ def test_module_run_usage_error_exits_2(tmp_path, scene_ply):
     assert done.returncode == 2
     assert "--num-points must be >= 1, got 0" in done.stderr
     assert not (tmp_path / "cloud.ply").exists()
+
+
+def test_sigterm_mid_write_removes_the_temporary_file(tmp_path):
+    # main is replaced by a write that terminates itself halfway through
+    script = ("import os, signal, sys, time\n"
+              "from splatcloud import cli\n"
+              "from splatcloud.formats.atomic import atomic_write\n"
+              "def main():\n"
+              "    with atomic_write(sys.argv[1]) as fh:\n"
+              "        fh.write(b'partial')\n"
+              "        os.kill(os.getpid(), signal.SIGTERM)\n"
+              "        time.sleep(60)\n"
+              "cli.main = main\n"
+              "sys.exit(cli.entry())\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "cloud.ply")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 128 + signal.SIGTERM, done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sigterm_during_colour_pass_takes_its_workers_with_it(tmp_path):
+    gen = perfbench_gen()
+    rng = np.random.default_rng(7)
+    gen.write_gaussians_ply(gen.sphere_scene(rng, 12_000), tmp_path / "scene.ply")
+    gen.write_colmap_bin(tmp_path / "sparse", gen.orbit_views(rng, 8), 640, 480, 600.0)
+    out = tmp_path / "out"
+    out.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # its own session, so the process group holds the run and its workers only
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "splatcloud.cli", tmp_path / "scene.ply", out / "cloud.ply",
+         "--cameras", tmp_path / "sparse", "--threads", "2", "--num-points", "1000"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        for line in proc.stderr:
+            if "rendered view 1/8" in line:
+                proc.send_signal(signal.SIGTERM)
+                break
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 128 + signal.SIGTERM, err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        assert list(out.iterdir()) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()

@@ -1,5 +1,7 @@
 """Gaussian PLY loading and point-cloud PLY writing."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -49,15 +51,12 @@ def test_ascii_fixture_field_exact(tmp_path):
     np.testing.assert_array_equal(raw.log_scale[0], [0, 0, 0])
     np.testing.assert_array_equal(raw.rotation[0], [1, 0, 0, 0])
     assert raw.logit_opacity[0] == 0.5
-    #  f_rest columns are gathered in index order regardless of file order
-    np.testing.assert_array_equal(raw.sh_rest[0], [0.125, 0.25])
 
     np.testing.assert_array_equal(raw.position[1], [1.5, -2.25, 3])
     np.testing.assert_array_equal(raw.sh_dc[1], [0.5, -0.5, 1])
     np.testing.assert_array_equal(raw.log_scale[1], [-0.5, -1, -1.5])
     np.testing.assert_array_equal(raw.rotation[1], [0.5, 0.5, 0.5, 0.5])
     assert raw.logit_opacity[1] == -1.0
-    np.testing.assert_array_equal(raw.sh_rest[1], [2, 1])
 
     np.testing.assert_array_equal(raw.position[2], [-4, 5, -6])
     np.testing.assert_array_equal(raw.rotation[2], [0, 1, 0, 0])
@@ -126,17 +125,16 @@ def test_roundtrip_preserves_order_and_values(tmp_path, rng):
 
 
 def test_writer_and_loader_agree_with_reference_parser(tmp_path, rng):
-    # every column, sh_rest included, lands in its named property as float32
+    # every column lands in its named property as float32; the f_rest
+    # columns between f_dc_2 and opacity move no other column
     records = random_records(rng, 40)
-    records.sh_rest = rng.uniform(-1.0, 1.0, (40, 5))
     path = tmp_path / "scene.ply"
-    write_scene_ply(records, path)
+    write_scene_ply(records, path, sh_rest=rng.uniform(-1.0, 1.0, (40, 5)))
     columns = read_ply_reference(path)
     loaded = load_gaussians_ply(path)
     for field, names in [
         ("position", ["x", "y", "z"]),
         ("sh_dc", ["f_dc_0", "f_dc_1", "f_dc_2"]),
-        ("sh_rest", [f"f_rest_{i}" for i in range(5)]),
         ("logit_opacity", ["opacity"]),
         ("log_scale", ["scale_0", "scale_1", "scale_2"]),
         ("rotation", ["rot_0", "rot_1", "rot_2", "rot_3"]),
@@ -144,6 +142,25 @@ def test_writer_and_loader_agree_with_reference_parser(tmp_path, rng):
         parsed = np.array([columns[n] for n in names]).T.reshape(getattr(records, field).shape)
         np.testing.assert_array_equal(parsed, getattr(records, field).astype(np.float32))
         np.testing.assert_array_equal(getattr(loaded, field), parsed)
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+def test_f_rest_columns_are_ignored(tmp_path, rng, caplog, binary):
+    # higher-order SH are not read: 0, 9 or 45 f_rest columns, or 45 that are
+    # NaN in every row, load the same bytes and drop no row
+    records = random_records(rng, 30)
+    n = len(records)
+    loaded = []
+    for i, sh_rest in enumerate([np.zeros((n, 0)), rng.uniform(-1.0, 1.0, (n, 9)),
+                                 rng.uniform(-1.0, 1.0, (n, 45)), np.full((n, 45), np.nan)]):
+        path = tmp_path / f"rest{i}.ply"
+        write_scene_ply(records, path, binary=binary, sh_rest=sh_rest)
+        raw = load_gaussians_ply(path)
+        loaded.append([(column.dtype, column.shape, column.tobytes())
+                       for column in (getattr(raw, f.name) for f in fields(raw))])
+    assert all(columns == loaded[0] for columns in loaded)
+    assert loaded[0][0][1] == (n, 3)
+    assert not any("dropped" in message for message in caplog.messages)
 
 
 def test_non_finite_rows_dropped(tmp_path, rng, caplog):

@@ -1,4 +1,5 @@
-"""Memory guards: activation holds little beyond the scene it builds,
+"""Memory guards: loading holds the file and the columns it reads, activation
+holds little beyond the scene it builds,
 sampling at most twice the output and writing a small part of it, outlier
 removal a few tens of bytes per point, and a row subset little more than
 the rows it keeps.
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 
 from splatcloud.config import SamplerConfig
-from splatcloud.formats import write_pointcloud_ply
+from splatcloud.formats import load_gaussians_ply, write_pointcloud_ply
 from splatcloud.sampler import generate_pointcloud
 from splatcloud.scene import activate
 from splatcloud.surface import remove_statistical_outliers
 from splatcloud.types import PointCloud, RawGaussians
+
+from conftest import perfbench_gen
 
 POINT_BYTES = 15  # one output vertex: xyz float32 + rgb uint8
 
@@ -36,6 +39,29 @@ def varied_raw(n, seed=12):
 
 def varied_scene(n, seed=12):
     return activate(varied_raw(n, seed))
+
+
+def test_load_memory_is_the_file_and_the_read_columns(tmp_path):
+    # 62 float32 properties a row, as trained scenes store them. The file is
+    # read whole; the five columns read are 112 bytes of float64 a row and the
+    # row checks a few tens more. Widening the 45 f_rest columns would add 360
+    gen = perfbench_gen()
+    peaks, sizes = {}, {}
+    for n in (20_000, 80_000):
+        path = tmp_path / f"scene{n}.ply"
+        gen.write_gaussians_ply(gen.sphere_scene(np.random.default_rng(n), n), path)
+        sizes[n] = path.stat().st_size
+        tracemalloc.start()
+        try:
+            raw = load_gaussians_ply(path)
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(raw) == n
+    row_bytes = (sizes[80_000] - sizes[20_000]) / 60_000
+    slope = (peaks[80_000] - peaks[20_000]) / 60_000
+    assert row_bytes == 248
+    assert slope <= row_bytes + 200, f"loading holds {slope:.0f} bytes per Gaussian"
 
 
 def test_activate_memory_does_not_grow_with_n():

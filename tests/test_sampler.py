@@ -1,9 +1,7 @@
 """Volumes, allocation, Mahalanobis rejection and point generation."""
 
-import importlib.util
 import logging
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +34,7 @@ from splatcloud.sampler import (
 from splatcloud.scene import ContributionState, activate, cholesky3, dot3, filter_scene
 from splatcloud.types import RawGaussians
 
-from conftest import random_records, random_scene
+from conftest import perfbench_gen, random_records, random_scene
 
 
 def single_gaussian_scene(log_scale=(0.0, 0.0, 0.0), rotation=(1.0, 0, 0, 0)):
@@ -141,11 +139,7 @@ def test_allocate_binned_invariant(rng):
 
 def colour_pass_volumes():
     """Volumes of the benchmark's colour-pass scene at seed 1 (12000 Gaussians)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    columns = gen.sphere_scene(np.random.default_rng([1, 12000]), 12000)
+    columns = perfbench_gen().sphere_scene(np.random.default_rng([1, 12000]), 12000)
     return gaussian_volume(columns["log_scale"])
 
 

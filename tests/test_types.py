@@ -106,7 +106,7 @@ def _table(kind: str):
     if kind == "raw":
         return RawGaussians(position=rng.random((n, 3)), log_scale=rng.random((n, 3)),
                             rotation=rng.random((n, 4)) + 0.1, logit_opacity=rng.random(n),
-                            sh_dc=rng.random((n, 3)), sh_rest=rng.random((n, 9)))
+                            sh_dc=rng.random((n, 3)))
     if kind.startswith("scene"):
         scene = random_scene(rng, n)
         if kind == "scene+contribution":
