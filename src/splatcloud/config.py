@@ -11,146 +11,11 @@ set of options and is accepted wherever a stage config is.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import select
-import signal
-import threading
 from argparse import ArgumentTypeError
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
 from .errors import UsageError
-
-
-def resolve_workers(threads: int) -> int:
-    """Worker count for a ``--threads`` value: 0 means one per CPU this process may use."""
-    if threads > 0:
-        return threads
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
-
-
-def map_threads(fn, items, threads: int) -> list:
-    """``[fn(item) for item in items]``, on a pool of ``--threads`` workers.
-
-    Runs serially when there is one worker or at most one item. The results
-    are in the order of ``items`` either way.
-    """
-    workers = resolve_workers(threads)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def map_forked(fn, items, threads: int, on_result) -> None:
-    """``on_result(fn(item))`` for every item, with ``fn`` run in worker processes.
-
-    Uses ``--threads`` workers, at most one per item, and only this process
-    where ``os.fork`` is missing or another thread runs, since a forked child
-    gets a copy of every lock but only the calling thread. Item i goes to
-    worker i % workers. Worker 0 is this process; the others are forked
-    children that pickle each result, or the exception that stopped them,
-    back through a pipe. ``on_result`` runs in this process, in arrival
-    order. A child leaves only through ``os._exit``, so no frame it copied
-    from this process runs a ``finally`` or an exit handler there. On any
-    failure the other children are killed, and every child is reaped before
-    this returns or raises.
-    """
-    items = list(items)
-    workers = max(1, min(resolve_workers(threads), len(items)))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    pids, pending = [], []
-    received = 0
-
-    def drain(timeout):
-        nonlocal received
-        for fd in select.select(pending, [], [], timeout)[0]:
-            message = _receive(fd)
-            if message is None:
-                pending.remove(fd)
-                os.close(fd)
-                continue
-            ok, payload = message
-            if not ok:
-                raise payload
-            received += 1
-            on_result(payload)
-
-    try:
-        for worker in range(1, workers):
-            reader, writer = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(reader)
-                _forked_worker(fn, items[worker::workers], writer)
-            os.close(writer)
-            pids.append(pid)
-            pending.append(reader)
-        for item in items[::workers]:
-            on_result(fn(item))
-            drain(0)
-        while pending:
-            drain(None)
-        if received + len(items[::workers]) != len(items):
-            raise RuntimeError("a worker process exited before sending all its results")
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
-        raise
-    finally:
-        for fd in pending:
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _forked_worker(fn, items, fd):
-    status = 1
-    try:
-        for item in items:
-            _send(fd, (True, fn(item)))
-        status = 0
-    except BaseException as err:
-        try:
-            _send(fd, (False, err))
-        except Exception:  # unpicklable: send its text
-            _send(fd, (False, RuntimeError(f"{type(err).__name__}: {err}")))
-    finally:
-        os._exit(status)
-
-
-def _send(fd, message) -> None:
-    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd):
-    """The next message :func:`_send` wrote, or None once the writer is gone."""
-    header = _read(fd, 8)
-    size = int.from_bytes(header, "little")
-    data = _read(fd, size)
-    if len(header) < 8 or len(data) < size:
-        return None  # closed, or the writer died mid-message
-    return pickle.loads(data)
-
-
-def _read(fd, size) -> bytes:
-    """Up to ``size`` bytes: fewer only at end of file."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
 
 
 def parse_bool(text: str) -> bool:
@@ -228,9 +93,10 @@ def _within(low, high):
 
 def _threads():
     # RenderConfig and SamplerConfig each need it; PipelineConfig inherits one field.
-    return option(0, "workers, 0 = one per usable CPU: processes for the colour pass (one "
-                  "view each, so one view runs in one process), threads for sampling and "
-                  "outlier removal; results do not depend on N", "N", check=_at_least(0))
+    return option(0, "workers, 0 = one per usable CPU: processes for the colour pass (one view "
+                  "each, so one view runs in one process), threads for sampling and outlier "
+                  "removal (at most one per usable CPU); results do not depend on N", "N",
+                  check=_at_least(0))
 
 
 @dataclass

@@ -20,9 +20,9 @@ live by the runs before it, and drops the pairs of the others at such
 pixels, as 3DGS's tile-level early termination does. Whole views are the
 only unit of parallel work: ``render_all`` renders them in forked worker
 processes (or one after another where it cannot fork), each compositing
-its tiles serially, and merges their candidates here; views are
-independent and the contribution merge is a total order, so the merge
-order changes no byte.
+its tiles serially into its own contribution state; views are independent
+and the contribution merge is a total order, so each worker's state merges
+into one and the merge order changes no byte.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RenderConfig, map_forked
+from .config import RenderConfig
 from .errors import DomainError
 from .formats import atomic_write
 from .sampler import quantize_colours
 from .scene import ContributionState, GaussianScene
 from .types import CameraPose
+from .workers import map_forked
 
 log = logging.getLogger(__name__)
 
@@ -403,9 +404,6 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
     """Render one camera view, offering each tile's candidates to ``contributions``.
 
     Composites the tiles one after another, in ``tile_scene``'s order.
-
-    ``contributions`` may be anything with :meth:`ContributionState.offer`'s
-    signature, or ``None``.
     """
     stats = RenderStats(images_rendered=1)
     projected = project(scene, pose)
@@ -421,10 +419,8 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
         stats.singular_skips += piece.singular_skips
         stats.pairs_evaluated += piece.pairs_evaluated
         if contributions is not None and len(piece.rows):
-            contributions.offer(
-                projected.gaussian_index[piece.rows], piece.values, piece.colours,
-                image_rank, piece.pixel_index, pose.camera_centre,
-            )
+            contributions.offer(projected.gaussian_index[piece.rows], piece.values, piece.colours,
+                                image_rank, piece.pixel_index, pose.camera_centre)
     stats.pixels_terminated = int(np.count_nonzero(buffers.terminated))
     return buffers, stats
 
@@ -454,44 +450,34 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
         Path(config.save_renders).mkdir(parents=True, exist_ok=True)
 
     # Each view composites its tiles serially; map_forked spreads the views
-    # over worker processes where it can fork.
+    # over worker processes where it can fork. A forked child offers into its
+    # copy of scene.contribution, still the initial state as map_forked forks
+    # every child before this process renders its first view.
     def render_view(rank):
-        recorder = _Recorder()
-        buffers, stats = render_image(scene, ordered[rank], config, rank, recorder)
+        buffers, stats = render_image(scene, ordered[rank], config, rank, scene.contribution)
         if config.save_renders is not None:
             write_ppm(Path(config.save_renders) / f"render_{rank:04d}.ppm", buffers.image)
-        return rank, stats, recorder.offers
+        return rank, stats
 
     views = {}
     started = time.perf_counter()
 
-    def merge(result):
-        rank, stats, offers = result
-        pose = ordered[rank]
-        for gaussians, values, colours, pixel_index in offers:
-            scene.contribution.offer(gaussians, values, colours, rank, pixel_index,
-                                     pose.camera_centre)
+    def log_view(result):
+        rank, stats = result
         views[rank] = stats
         elapsed = time.perf_counter() - started
         log.info("rendered view %d/%d (image_id=%s), %.1fs elapsed, ETA %.1fs",
-                 len(views), len(ordered), pose.image_id, elapsed,
+                 len(views), len(ordered), ordered[rank].image_id, elapsed,
                  elapsed / len(views) * (len(ordered) - len(views)))
 
-    map_forked(render_view, range(len(ordered)), config.threads, merge)
+    # each forked child sends its state once, after its last view
+    for reached in map_forked(render_view, range(len(ordered)), config.threads, log_view,
+                              scene.contribution.reached):
+        scene.contribution.offer(*reached)
     total = RenderStats(**{f.name: sum(getattr(v, f.name) for v in views.values())
                            for f in fields(RenderStats)})
     total.max_tile_product = max(v.max_tile_product for v in views.values())
     return total
-
-
-class _Recorder:
-    """Keeps what each :meth:`ContributionState.offer` call is given, for a later replay."""
-
-    def __init__(self):
-        self.offers = []
-
-    def offer(self, gaussians, values, colours, image_rank, pixel_index, camera_centre):
-        self.offers.append((gaussians, values, colours, pixel_index))
 
 
 def write_ppm(path, image: np.ndarray) -> None:

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SamplerConfig, map_threads
+from .config import SamplerConfig
 from .errors import DomainError
 from .scene import GaussianScene, cholesky3, dot3
 from .types import PointCloud
+from .workers import map_threads
 
 log = logging.getLogger(__name__)
 

@@ -145,8 +145,8 @@ class ContributionState:
     background colour and is replaced by the colour of the pixel with the
     largest contribution seen so far. The auxiliary image-rank / pixel-index /
     camera-centre columns make the update a total order, so merges commute
-    (any tile order, and any arrival order of the forked views, gives the
-    same state) and record which camera saw each Gaussian best.
+    (any tile order, and any merge order of the forked workers' states, gives
+    the same state) and record which camera saw each Gaussian best.
     """
 
     best_contribution: np.ndarray
@@ -172,24 +172,32 @@ class ContributionState:
         A candidate wins on strictly larger contribution; exact ties go to
         the lower image rank, then the lower row-major pixel index, which
         reproduces first-seen-wins under the fixed iteration order.
+        ``image_rank`` and ``camera_centre`` are one view's, or one per row.
         """
         gaussians = np.asarray(gaussians)
+        image_rank = np.broadcast_to(image_rank, gaussians.shape)
+        camera_centre = np.broadcast_to(camera_centre, gaussians.shape + (3,))
         current = self.best_contribution[gaussians]
         better = values > current
         tie = values == current
         if np.any(tie):
             rank_now = self.best_image_rank[gaussians]
             pix_now = self.best_pixel_index[gaussians]
-            better |= tie & (
-                (image_rank < rank_now)
-                | ((image_rank == rank_now) & (pixel_index < pix_now))
-            )
+            better |= tie & ((image_rank < rank_now)
+                             | ((image_rank == rank_now) & (pixel_index < pix_now)))
         win = gaussians[better]
         self.best_contribution[win] = values[better]
         self.best_colour[win] = colours[better]
-        self.best_image_rank[win] = image_rank
+        self.best_image_rank[win] = image_rank[better]
         self.best_pixel_index[win] = pixel_index[better]
-        self.best_camera_centre[win] = camera_centre
+        self.best_camera_centre[win] = camera_centre[better]
+
+    def reached(self):
+        """The rows some offer won, as ``offer`` arguments: ``other.offer(*state.reached())``."""
+        rows = np.flatnonzero(self.best_contribution > 0.0)
+        return (rows, self.best_contribution[rows], self.best_colour[rows],
+                self.best_image_rank[rows], self.best_pixel_index[rows],
+                self.best_camera_centre[rows])
 
 
 @dataclass

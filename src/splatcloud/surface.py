@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SurfaceConfig, resolve_workers
+from .config import SurfaceConfig
 from .errors import DomainError
 from .sampler import SampleStats, _sample_scene
 from .scene import GaussianScene, dot3, quats_to_rotmats
 from .types import PointCloud
+from .workers import thread_workers
 
 log = logging.getLogger(__name__)
 
@@ -126,5 +127,5 @@ def export_surface_cloud(scene: GaussianScene,
     cloud = PointCloud(points=points, colours=colours,
                        normals=np.repeat(normals.astype(np.float32), accepted, axis=0))
     cloud = remove_statistical_outliers(cloud, config.sor_k, config.sor_std,
-                                        workers=resolve_workers(config.threads))
+                                        workers=thread_workers(config.threads))
     return cloud, stats

@@ -1,0 +1,138 @@
+"""Worker counts, and the thread and forked-process maps the stages run on."""
+
+import os
+import pickle
+import select
+import signal
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+
+def resolve_workers(threads: int) -> int:
+    """Worker count for a ``--threads`` value: 0 means one per CPU this process may use."""
+    if threads > 0:
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
+def thread_workers(threads: int) -> int:
+    """Threads for a ``--threads`` value: at most one per usable CPU, as more only take turns."""
+    return min(resolve_workers(threads), resolve_workers(0))
+
+
+def map_threads(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on a pool of :func:`thread_workers` threads.
+
+    Runs serially when there is one worker or at most one item. The results
+    are in the order of ``items`` either way.
+    """
+    workers = thread_workers(threads)
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def map_forked(fn, items, threads: int, on_result, finish=lambda: None) -> list:
+    """``on_result(fn(item))`` for every item, with ``fn`` run in worker processes.
+
+    Uses ``--threads`` workers, at most one per item, and only this process
+    where ``os.fork`` is missing or another thread runs, since a forked child
+    gets a copy of every lock but only the calling thread. Item i goes to
+    worker i % workers. Worker 0 is this process; the others are children
+    forked before it runs its first item, which pickle each result (or the
+    exception that stopped them), then ``finish()`` once, back through a
+    pipe. ``on_result`` runs here, and the finish values are returned, both
+    in arrival order. A child leaves only through ``os._exit``, so no copied
+    frame runs a ``finally`` or an exit handler there. On any failure the
+    others are killed; every child is reaped before this returns or raises.
+    """
+    items = list(items)
+    workers = max(1, min(resolve_workers(threads), len(items)))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    pids, pending, finished = [], [], []
+
+    def drain(timeout):
+        for fd in select.select(pending, [], [], timeout)[0]:
+            message = _receive(fd)
+            if message is None:  # gone before its finish()
+                raise RuntimeError("a worker process exited before sending all its results")
+            kind, payload = message
+            if kind == "error":
+                raise payload
+            if kind == "result":
+                on_result(payload)
+            else:  # "finish", the child's last message
+                finished.append(payload)
+                pending.remove(fd)
+                os.close(fd)
+
+    try:
+        for worker in range(1, workers):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(reader)
+                _forked_worker(fn, items[worker::workers], finish, writer)
+            os.close(writer)
+            pids.append(pid)
+            pending.append(reader)
+        for item in items[::workers]:
+            on_result(fn(item))
+            drain(0)
+        while pending:
+            drain(None)
+        return finished
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
+        raise
+    finally:
+        for fd in pending:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _forked_worker(fn, items, finish, fd):
+    status = 1
+    try:
+        for item in items:
+            _send(fd, ("result", fn(item)))
+        _send(fd, ("finish", finish()))
+        status = 0
+    except BaseException as err:
+        try:
+            _send(fd, ("error", err))
+        except Exception:  # unpicklable: send its text
+            _send(fd, ("error", RuntimeError(f"{type(err).__name__}: {err}")))
+    finally:
+        os._exit(status)
+
+
+def _send(fd, message) -> None:
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd):
+    """The next message :func:`_send` wrote, or None once the writer is gone."""
+    header = _read(fd, 8)
+    size = int.from_bytes(header, "little")
+    data = _read(fd, size)
+    if len(header) < 8 or len(data) < size:
+        return None  # closed, or the writer died mid-message
+    return pickle.loads(data)
+
+
+def _read(fd, size) -> bytearray:
+    """Up to ``size`` bytes: fewer only at end of file."""
+    data = bytearray()
+    while len(data) < size and (chunk := os.read(fd, size - len(data))):
+        data += chunk
+    return data

@@ -6,6 +6,7 @@ import importlib.util
 import os
 import struct
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -237,6 +238,20 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return pids
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The ``threading.Thread`` objects started while the test runs."""
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
 
 
 def assert_no_child_left():

@@ -259,3 +259,46 @@ def test_cull_everything_is_error(rng):
     scene.contribution = ContributionState.initial(scene.count)
     with pytest.raises(DomainError):
         cull_unrendered(scene)
+
+
+# ---------------------------------------------------------------------------
+# contribution merge
+
+
+def state_bytes(state: ContributionState) -> list[bytes]:
+    return [column.tobytes() for column in (
+        state.best_contribution, state.best_colour, state.best_image_rank,
+        state.best_pixel_index, state.best_camera_centre)]
+
+
+def test_merging_states_is_a_total_order():
+    rng = np.random.default_rng(24)
+    count = 40
+    views = []  # per view: two tiles' candidates, as render_image offers them
+    for rank in range(6):
+        centre = rng.normal(size=3)
+        tiles = []
+        for pixels in (np.arange(0, 50), np.arange(50, 100)):
+            gaussians = rng.choice(np.arange(1, count), 20, replace=False)
+            values = rng.choice([0.25, 0.5, 0.75], 20)  # exact ties within and across views
+            if rank < 2 and pixels[0] == 0:
+                # Gaussian 0 ties exactly in views 0 and 1, so the lower rank
+                # arrives second in one of the merge orders below
+                gaussians[-1], values[-1] = 0, 0.9
+            tiles.append((gaussians, values, rng.uniform(0.0, 1.0, (20, 3)), rank,
+                          rng.choice(pixels, 20), centre))
+        views.append(tiles)
+
+    def offered(ranks):
+        state = ContributionState.initial(count, (0.1, 0.2, 0.3))
+        for rank in ranks:
+            for tile in views[rank]:
+                state.offer(*tile)
+        return state
+
+    expected = offered(range(6))
+    assert expected.best_image_rank[0] == 0
+    for first, second in (((1, 3, 5), (0, 2, 4)), ((0, 2, 4), (1, 3, 5))):
+        merged = offered(first)
+        merged.offer(*offered(second).reached())
+        assert state_bytes(merged) == state_bytes(expected), (first, second)

@@ -1,5 +1,7 @@
 """Surface selection, normal estimation and statistical outlier removal."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,21 @@ def test_every_surface_point_carries_its_gaussians_normal(monkeypatch, threads):
         scene.take(selection.surface_mask), config.surface_points, config)
     assert cloud.points.tobytes() == points.tobytes()
     assert cloud.normals.tobytes() == normals[gaussian_ids].astype(np.float32).tobytes()
+
+
+def test_threads_above_the_cpu_count_start_no_more_threads(monkeypatch, thread_starts):
+    # --threads 64 on 2 usable CPUs: the sampling pool and each block's k-NN
+    # query start at most 2 threads each
+    rng = np.random.default_rng(909)
+    scene = rendered_scene(rng, 300)
+    scene.contribution.best_contribution[:] = rng.uniform(0.0, 1.0, scene.count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(surface, "SOR_BLOCK_ROWS", 256)
+    _, stats = export_surface_cloud(scene, SurfaceConfig(seed=8, threads=64,
+                                                         surface_points=2000))
+    blocks = -(-stats.emitted // 256)
+    assert blocks >= 4
+    assert len(thread_starts) <= 2 * (1 + blocks)
 
 
 def test_surface_export_rejects_nan_std_ratio(rng):

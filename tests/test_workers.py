@@ -2,10 +2,11 @@
 
 import os
 import signal
+import time
 
 import pytest
 
-from splatcloud.config import map_forked, resolve_workers
+from splatcloud.workers import map_forked, map_threads, resolve_workers
 
 from conftest import assert_no_child_left
 
@@ -32,9 +33,11 @@ def test_map_forked_is_capped_by_the_items(forks):
 
 def test_map_forked_deals_items_round_robin(forks):
     got = {}
-    map_forked(lambda i: (i, os.getpid()), range(7), 3, lambda r: got.update([r]))
+    finished = map_forked(lambda i: (i, os.getpid()), range(7), 3, lambda r: got.update([r]),
+                          os.getpid)
     assert sorted(got) == list(range(7))
     assert len(forks) == 2
+    assert sorted(finished) == sorted(forks)  # one finish() from each child
     assert {got[i] for i in (0, 3, 6)} == {os.getpid()}
     assert {got[i] for i in (1, 4)} == {forks[0]}
     assert {got[i] for i in (2, 5)} == {forks[1]}
@@ -58,6 +61,37 @@ def test_a_child_that_dies_without_its_results_is_an_error():
     with pytest.raises(RuntimeError, match="exited before sending all its results"):
         map_forked(fn, range(4), 2, lambda r: None)
     assert_no_child_left()
+
+
+def test_a_child_killed_before_its_finish_is_an_error():
+    def finish():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match="exited before sending all its results"):
+        map_forked(lambda i: i, range(4), 2, lambda r: None, finish)
+    assert_no_child_left()
+
+
+def test_a_child_never_waits_on_this_process_mid_pass():
+    # finish() is larger than any pipe an unprivileged process can ask for
+    # (1 MB by default), and this process's items run longer than the child's
+    payload = os.urandom(3 << 20)
+    ended = {}
+
+    def fn(i):
+        time.sleep(0.15 if i % 2 == 0 else 0.01)
+        return i, time.monotonic()
+
+    finished = map_forked(fn, range(6), 2, lambda r: ended.update([r]), lambda: payload)
+    assert finished == [payload]
+    assert max(ended[i] for i in (1, 3, 5)) < max(ended[i] for i in (0, 2, 4))
+    assert_no_child_left()
+
+
+def test_thread_pools_start_no_more_threads_than_usable_cpus(monkeypatch, thread_starts):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert map_threads(lambda i: time.sleep(0.01) or i, list(range(8)), 64) == list(range(8))
+    assert len(thread_starts) <= 2
 
 
 class Unpicklable(Exception):
