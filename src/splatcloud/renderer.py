@@ -38,7 +38,7 @@ from .config import RenderConfig
 from .errors import DomainError
 from .formats import atomic_write
 from .sampler import quantize_colours
-from .scene import ContributionState, GaussianScene
+from .scene import ContributionState, GaussianScene, dot3
 from .types import CameraPose
 from .workers import map_forked
 
@@ -153,7 +153,7 @@ def project(scene: GaussianScene, pose: CameraPose) -> ProjectedGaussians:
     box misses the image entirely.
     """
     rot = pose.rotation
-    cam = scene.position @ rot.T + pose.translation
+    cam = dot3(scene.position[:, None, :], rot) + pose.translation
     z = cam[:, 2]
     in_front = z > NEAR_PLANE
 
@@ -162,13 +162,12 @@ def project(scene: GaussianScene, pose: CameraPose) -> ProjectedGaussians:
         mx = pose.fx * cam[:, 0] * inv_z + pose.cx
         my = pose.fy * cam[:, 1] * inv_z + pose.cy
 
-        cov_cam = np.einsum("ij,njk,lk->nil", rot, scene.covariance, rot)
-        jac = np.zeros((scene.count, 2, 3))
-        jac[:, 0, 0] = pose.fx * inv_z
-        jac[:, 0, 2] = -pose.fx * cam[:, 0] * inv_z * inv_z
-        jac[:, 1, 1] = pose.fy * inv_z
-        jac[:, 1, 2] = -pose.fy * cam[:, 1] * inv_z * inv_z
-        cov2d = np.einsum("nij,njk,nlk->nil", jac, cov_cam, jac)
+        # T = J R: row l is (f_l / z) R_l - (f_l cam_l / z^2) R_2, from J's non-zero entries
+        focal = np.array([pose.fx, pose.fy])
+        iz = inv_z[:, None]
+        t = (focal * iz)[..., None] * rot[:2] - (focal * cam[:, :2] * iz * iz)[..., None] * rot[2]
+        ct = dot3(scene.covariance[:, None, :, :], t[:, :, None, :])  # [n, l, j] = (C T^T)[j, l]
+        cov2d = dot3(t[:, :, None, :], ct[:, None, :, :])  # T (C T^T)
     cov2d[:, 0, 0] += COV2D_LOWPASS
     cov2d[:, 1, 1] += COV2D_LOWPASS
 

@@ -43,9 +43,10 @@ def map_forked(fn, items, threads: int, on_result, finish=lambda: None) -> list:
     gets a copy of every lock but only the calling thread. Item i goes to
     worker i % workers. Worker 0 is this process; the others are children
     forked before it runs its first item, which pickle each result (or the
-    exception that stopped them), then ``finish()`` once, back through a
-    pipe. ``on_result`` runs here, and the finish values are returned, both
-    in arrival order. A child leaves only through ``os._exit``, so no copied
+    ``Exception`` that stopped them), then ``finish()`` once, back through a
+    pipe; a child stopped by ``SystemExit`` sends nothing and reads as gone.
+    ``on_result`` runs here, and the finish values are returned, both in
+    arrival order. A child leaves only through ``os._exit``, so no copied
     frame runs a ``finally`` or an exit handler there. On any failure the
     others are killed; every child is reaped before this returns or raises.
     """
@@ -104,7 +105,7 @@ def _forked_worker(fn, items, finish, fd):
             _send(fd, ("result", fn(item)))
         _send(fd, ("finish", finish()))
         status = 0
-    except BaseException as err:
+    except Exception as err:
         try:
             _send(fd, ("error", err))
         except Exception:  # unpicklable: send its text

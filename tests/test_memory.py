@@ -1,8 +1,8 @@
 """Memory guards: loading holds the file and the columns it reads, activation
-holds little beyond the scene it builds,
-sampling at most twice the output and writing a small part of it, outlier
-removal a few tens of bytes per point, and a row subset little more than
-the rows it keeps.
+holds little beyond the scene it builds, projection a few hundred bytes per
+Gaussian beyond its output, sampling at most twice the output and writing a
+small part of it, outlier removal a few tens of bytes per point, and a row
+subset little more than the rows it keeps.
 
 numpy reports its buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once, measured in-process.
@@ -15,12 +15,13 @@ import pytest
 
 from splatcloud.config import SamplerConfig
 from splatcloud.formats import load_gaussians_ply, write_pointcloud_ply
+from splatcloud.renderer import project
 from splatcloud.sampler import generate_pointcloud
 from splatcloud.scene import activate
 from splatcloud.surface import remove_statistical_outliers
 from splatcloud.types import PointCloud, RawGaussians
 
-from conftest import perfbench_gen
+from conftest import frontal_pose, perfbench_gen
 
 POINT_BYTES = 15  # one output vertex: xyz float32 + rgb uint8
 
@@ -83,6 +84,27 @@ def test_activate_memory_does_not_grow_with_n():
         above_output[n] = peak - output
     slope = (above_output[80_000] - above_output[20_000]) / 60_000
     assert slope <= 32, f"activate holds {slope:.0f} bytes per Gaussian beyond its output"
+
+
+def test_projection_memory_beyond_its_output():
+    # the projection returns 104 bytes a kept row; camera-space means, the
+    # boxes, T = J R and the temporaries of T (C T^T) hold 243 more at the
+    # peak. Forming the (n, 3, 3) camera-space covariance and a zero-filled
+    # (n, 2, 3) Jacobian for two einsums instead held 267
+    pose = frontal_pose(width=640, height=480, focal=500.0, distance=5.0)
+    above_output = {}
+    for n in (20_000, 80_000):
+        scene = varied_scene(n)
+        tracemalloc.start()
+        try:
+            projected = project(scene, pose)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(projected) == n
+        above_output[n] = peak - sum(column.nbytes for column in vars(projected).values())
+    slope = (above_output[80_000] - above_output[20_000]) / 60_000
+    assert slope <= 256, f"project holds {slope:.0f} bytes per Gaussian beyond its output"
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -29,7 +29,8 @@ from splatcloud.renderer import (
     tile_scene,
     write_ppm,
 )
-from splatcloud.scene import ContributionState, GaussianScene, activate
+from splatcloud.scene import ContributionState, GaussianScene, activate, quats_to_rotmats
+from splatcloud.types import CameraPose
 
 from conftest import (
     assert_no_child_left,
@@ -106,6 +107,63 @@ def test_screen_covariance_matches_sampled_fit(rng):
     # off-diagonals sit near zero; tolerate 5x the Monte-Carlo standard error
     mc_error = 5.0 * np.sqrt(np.prod(np.diag(fitted)) / 200_000)
     np.testing.assert_allclose(got, fitted, rtol=0.05, atol=mc_error)
+
+
+def test_projection_adds_its_sums_in_dot3_order():
+    # the camera transform, then T = J R and T (C T^T), each 3-term sum added as
+    # (j0 + j2) + j1; on covariances of mixed sizes another order changes bits
+    rng = np.random.default_rng(25)
+    scene = random_scene(rng, 200, log_scale_range=(-8.0, 2.0))
+    quat = rng.standard_normal(4)
+    world_to_camera = np.eye(4)
+    world_to_camera[:3, :3] = quats_to_rotmats(quat / np.linalg.norm(quat))
+    world_to_camera[2, 3] = 6.0
+    pose = CameraPose(image_id=0, width=640, height=480, fx=520.0, fy=470.0,
+                      cx=317.5, cy=243.0, world_to_camera=world_to_camera)
+    projected = project(scene, pose)
+    assert len(projected) > 150
+    rot, shift = pose.rotation.tolist(), pose.translation.tolist()
+    fx, fy, cx, cy = pose.fx, pose.fy, pose.cx, pose.cy
+
+    def expected(add3):
+        means, depths, covs = [], [], []
+        for row in projected.gaussian_index.tolist():
+            p, c = scene.position[row].tolist(), scene.covariance[row].tolist()
+            x, y, z = (add3(*(p[j] * r[j] for j in range(3))) + s for r, s in zip(rot, shift))
+            iz = 1.0 / z
+            t = [[fx * iz * rot[0][k] - fx * x * iz * iz * rot[2][k] for k in range(3)],
+                 [fy * iz * rot[1][k] - fy * y * iz * iz * rot[2][k] for k in range(3)]]
+            ct = [[add3(*(c[j][k] * t[l][k] for k in range(3))) for j in range(3)]
+                  for l in range(2)]
+            cov = [[add3(*(t[i][j] * ct[l][j] for j in range(3))) for l in range(2)]
+                   for i in range(2)]
+            cov[0][0] += COV2D_LOWPASS
+            cov[1][1] += COV2D_LOWPASS
+            means.append([fx * x * iz + cx, fy * y * iz + cy])
+            depths.append(z)
+            covs.append(cov)
+        return means, depths, covs
+
+    means, depths, covs = expected(lambda a0, a1, a2: (a0 + a2) + a1)
+    assert covs != expected(lambda a0, a1, a2: (a0 + a1) + a2)[2]
+    assert projected.mean2d.tolist() == means
+    assert projected.depth.tolist() == depths
+    assert projected.cov2d.tolist() == covs
+
+
+def test_non_finite_screen_covariance_excluded(rng):
+    # one unit in front of fx = 1000, variances near 1e305 overflow the screen
+    # covariance: row 0 everywhere; row 1, whose long axis lies near its viewing
+    # ray, only in the off-diagonal, whose products overflow with opposite signs
+    # while the diagonal's cancel; row 2 is an ordinary Gaussian
+    records = random_records(rng, 3)
+    records.position[:] = [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    records.log_scale[:2] = [[352.0, 352.0, 352.0], [352.0, 340.0, 340.0]]
+    records.rotation[1] = [0.5266, 0.5219, -0.4719, 0.4771]
+    scene = activate(records)
+    assert scene.count == 3
+    projected = project(scene, frontal_pose(width=256, height=256, focal=1000.0, distance=1.0))
+    assert projected.gaussian_index.tolist() == [2]
 
 
 def test_behind_camera_excluded(rng):

@@ -72,6 +72,18 @@ def test_a_child_killed_before_its_finish_is_an_error():
     assert_no_child_left()
 
 
+def test_a_child_that_raises_system_exit_leaves_without_sending_it():
+    # as one does when a SIGTERM meets the signal handler it inherited
+    def fn(i):
+        if i == 1:
+            raise SystemExit(128 + signal.SIGTERM)
+        return i
+
+    with pytest.raises(RuntimeError, match="exited before sending all its results"):
+        map_forked(fn, range(4), 2, lambda r: None)
+    assert_no_child_left()
+
+
 def test_a_child_never_waits_on_this_process_mid_pass():
     # finish() is larger than any pipe an unprivileged process can ask for
     # (1 MB by default), and this process's items run longer than the child's
