@@ -93,10 +93,10 @@ def _within(low, high):
 
 def _threads():
     # RenderConfig and SamplerConfig each need it; PipelineConfig inherits one field.
-    return option(0, "workers, 0 = one per usable CPU: processes for the colour pass (one view "
-                  "each, so one view runs in one process), threads for sampling and outlier "
-                  "removal (at most one per usable CPU); results do not depend on N", "N",
-                  check=_at_least(0))
+    return option(0, "workers, 0 = one per usable CPU: processes for the colour pass (at most "
+                  "one per view, each rendering whole views, then a share of the tiles of the "
+                  "views left over), threads for sampling and outlier removal (at most one per "
+                  "usable CPU); results do not depend on N", "N", check=_at_least(0))
 
 
 @dataclass

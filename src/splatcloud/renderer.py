@@ -17,18 +17,22 @@ for any tile layout (subdivided or not), chunk size and worker count.
 A tile composites its members in runs of about ``_CHUNK_PAIRS`` (member,
 pixel) pairs. A run skips members whose clipped box holds no pixel left
 live by the runs before it, and drops the pairs of the others at such
-pixels, as 3DGS's tile-level early termination does. Whole views are the
-only unit of parallel work: ``render_all`` renders them in forked worker
-processes (or one after another where it cannot fork), each compositing
-its tiles serially into its own contribution state; views are independent
-and the contribution merge is a total order, so each worker's state merges
-into one and the merge order changes no byte.
+pixels, as 3DGS's tile-level early termination does. The colour sums come
+after the last run, from the kept pairs in run order; the colour pass sums
+them only at the pixels its candidates read. ``render_all`` renders views
+in forked worker processes (or one after another where it cannot fork),
+each compositing its tiles serially into its own contribution state. The
+views left over once every worker has as many whole views have their tiles
+dealt to every worker. Tiles are independent and the contribution merge is
+a total order, so each worker's state merges into one and neither the
+dealing nor the merge order changes a byte.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,7 +44,7 @@ from .formats import atomic_write
 from .sampler import quantize_colours
 from .scene import ContributionState, GaussianScene, dot3
 from .types import CameraPose
-from .workers import map_forked
+from .workers import fork_workers, map_forked
 
 log = logging.getLogger(__name__)
 
@@ -243,7 +247,8 @@ def _subdivide(rect, members, level, bbox, budget, out):
 
 
 def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianScene,
-                   buffers: ImageBuffers, *, background=(0.0, 0.0, 0.0)) -> TileComposite:
+                   buffers: ImageBuffers, *, background=(0.0, 0.0, 0.0),
+                   planes: bool = True) -> TileComposite:
     """Composite one tile front to back and report best-pixel candidates.
 
     Each member's box, clipped to the tile, expands into (member, pixel)
@@ -251,10 +256,15 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
     transmittance fell below the early-out in an earlier run are dead: a
     member whose box holds no live pixel (counted with a summed-area table)
     makes no pairs, and pairs at dead pixels are dropped before their
-    falloff is evaluated.
+    falloff is evaluated. Each run keeps its surviving (member, pixel,
+    weight) triples; after the last run one ``bincount`` per channel sums
+    them in run order, the additions a per-pixel loop makes.
 
-    Writes the tile's rect into ``buffers`` and returns the tile's
+    Writes the tile's rect of ``buffers.terminated`` and returns the tile's
     candidates; ``render_image`` merges them into the contribution state.
+    With ``planes`` it also writes the rect's ``image``, ``t_final`` and
+    ``weight_sum`` and sums colours at every pixel; without, it sums them
+    only at the members' best pixels, the only colours the candidates read.
     """
     background = np.asarray(background, dtype=np.float64)
     image_width = buffers.image.shape[1]
@@ -276,8 +286,7 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
     # per-pixel state, row-major over the tile
     transmittance = np.ones(npix)
     done = np.zeros(npix, dtype=bool)
-    colour_sum = np.zeros((3, npix))
-    weight_sum = np.zeros(npix)
+    triples = []  # per run: its surviving (member, pixel, weight) triples
 
     m = len(rows)
     best_values = np.zeros(m)
@@ -296,14 +305,16 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
             quad_cut = 2.0 * (np.log(255.0) + np.log(opacity)) + 1e-9
         box = np.clip(projected.bbox[rows] - [tile.x0, tile.y0, tile.x0, tile.y0],
                       0, [width, height, width, height])
-        box_w = box[:, 2] - box[:, 0]
-        area = box_w * (box[:, 3] - box[:, 1])
+        box_w, box_h = box[:, 2] - box[:, 0], box[:, 3] - box[:, 1]
+        area = box_w * box_h
         # a new run starts with the member whose first pair crosses a multiple
         # of _CHUNK_PAIRS
         run = (np.cumsum(area) - area) // _CHUNK_PAIRS
         bounds = np.flatnonzero(np.diff(run, prepend=-1, append=run[-1] + 1))
         key_type = np.min_scalar_type(npix - 1)  # 16-bit keys sort by radix
-        all_pixels = np.arange(npix)
+        # each pixel's centre in image coordinates
+        centre_x = np.tile(np.arange(tile.x0, tile.x1) + 0.5, height)
+        centre_y = np.repeat(np.arange(tile.y0, tile.y1) + 0.5, width)
 
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             run_rows = np.arange(lo, hi)
@@ -315,21 +326,24 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
                 x0, y0, x1, y1 = box[lo:hi].T
                 live_px = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
                 run_rows = run_rows[live_px > 0]
-            counts = area[run_rows]
-            member = np.repeat(run_rows, counts)
-            offset = np.arange(len(member)) - np.repeat(np.cumsum(counts) - counts, counts)
-            local_y, local_x = np.divmod(offset, np.repeat(box_w[run_rows], counts))
-            local_x += np.repeat(box[run_rows, 0], counts)
-            local_y += np.repeat(box[run_rows, 1], counts)
-            pixel = local_y * width + local_x
+            # pairs member by member, each clipped box row by row: the i-th
+            # pair of a box row lies i pixels right of the row's first pixel
+            heights = box_h[run_rows]
+            box_y = np.arange(heights.sum()) - np.repeat(np.cumsum(heights) - heights, heights)
+            box_y += np.repeat(box[run_rows, 1], heights)
+            widths = np.repeat(box_w[run_rows], heights)
+            starts = box_y * width + np.repeat(box[run_rows, 0], heights)
+            member = np.repeat(run_rows, area[run_rows])
+            pixel = np.arange(len(member)) + np.repeat(starts - (np.cumsum(widths) - widths),
+                                                       widths)
             live = np.flatnonzero(~done[pixel])
             member, pixel = member[live], pixel[live]
             evaluated += len(member)
 
             # Falloff per pair. Outputs are compared byte for byte across
             # tile layouts and chunk sizes, so keep this operation order.
-            dx = (local_x[live] + tile.x0 + 0.5) - mean_x[member]
-            dy = (local_y[live] + tile.y0 + 0.5) - mean_y[member]
+            dx = centre_x[pixel] - mean_x[member]
+            dy = centre_y[pixel] - mean_y[member]
             quad = inv00[member] * dx * dx + inv01x2[member] * dx * dy + inv11[member] * dy * dy
             near = np.flatnonzero(quad <= quad_cut[member])
             alpha = np.exp(-0.5 * quad[near])
@@ -341,11 +355,14 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
             near, alpha = near[visible], alpha[visible]
 
             # stable sort keeps each pixel's pairs front to back
-            order = np.argsort(pixel[near].astype(key_type), kind="stable")
-            member, pixel, alpha = member[near[order]], pixel[near[order]], alpha[order]
-            first = np.flatnonzero(np.diff(pixel, prepend=-1))
-            active = pixel[first]
-            depth = np.diff(first, append=len(pixel))
+            key = pixel[near].astype(key_type)
+            order = np.argsort(key, kind="stable")
+            member, alpha = member[near[order]], alpha[order]
+            depth = np.bincount(key, minlength=npix)  # pairs per pixel
+            active = np.flatnonzero(depth)
+            depth = depth[active]
+            first = np.cumsum(depth) - depth
+            pixel = np.repeat(active, depth)
             slot = np.repeat(np.arange(len(active)), depth)
             before = (np.arange(len(pixel)) - np.repeat(first, depth)) * len(active) + slot
             after = before + len(active)
@@ -365,12 +382,7 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
 
             weight = alpha[alive] * flat[before[alive]]
             member, pixel = member[alive], pixel[alive]
-            # bincount adds in input order: the carried sum, then pairs front to back
-            bins = np.concatenate([all_pixels, pixel])
-            weight_sum = np.bincount(bins, np.concatenate([weight_sum, weight]), npix)
-            for c in range(3):
-                colour_sum[c] = np.bincount(
-                    bins, np.concatenate([colour_sum[c], weight * colours[member, c]]), npix)
+            triples.append((member.astype(np.int32), pixel.astype(key_type), weight))
 
             # a member's pairs all fall in one run: strictly larger wins,
             # ties go to the lower pixel
@@ -378,19 +390,38 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
             tie = weight == best_values[member]
             np.minimum.at(best_local, member[tie], pixel[tie])
 
-    pixels = colour_sum.T + transmittance[:, None] * background
-    buffers.image[tile.y0:tile.y1, tile.x0:tile.x1] = pixels.reshape(height, width, 3)
-    buffers.t_final[tile.y0:tile.y1, tile.x0:tile.x1] = transmittance.reshape(height, width)
-    buffers.weight_sum[tile.y0:tile.y1, tile.x0:tile.x1] = weight_sum.reshape(height, width)
-    buffers.terminated[tile.y0:tile.y1, tile.x0:tile.x1] = done.reshape(height, width)
-
     contributing = np.flatnonzero(best_values > 0.0)
     local = best_local[contributing]
+    if not planes:  # only the best pixels' sums are read
+        wanted = np.zeros(npix, dtype=bool)
+        wanted[local] = True
+        for i, (member, pixel, weight) in enumerate(triples):
+            take = wanted[pixel]
+            triples[i] = member[take], pixel[take], weight[take]
+    # bincount adds in input order from 0, so each pixel adds its pairs front
+    # to back, run after run: the sum a per-pixel loop carries
+    colour_sum = np.zeros((3, npix))
+    weight_sum = np.zeros(npix)
+    if triples:
+        member, pixel, weight = (np.concatenate(column) for column in zip(*triples))
+        del triples
+        for c in range(3):
+            colour_sum[c] = np.bincount(pixel, weight * colours[member, c], npix)
+        if planes:
+            weight_sum = np.bincount(pixel, weight, npix)
+
+    buffers.terminated[tile.y0:tile.y1, tile.x0:tile.x1] = done.reshape(height, width)
+    if planes:
+        pixels = colour_sum.T + transmittance[:, None] * background
+        buffers.image[tile.y0:tile.y1, tile.x0:tile.x1] = pixels.reshape(height, width, 3)
+        buffers.t_final[tile.y0:tile.y1, tile.x0:tile.x1] = transmittance.reshape(height, width)
+        buffers.weight_sum[tile.y0:tile.y1, tile.x0:tile.x1] = weight_sum.reshape(height, width)
+
     return TileComposite(
         rows=rows[contributing],
         values=best_values[contributing],
         pixel_index=(tile.y0 + local // width) * image_width + tile.x0 + local % width,
-        colours=pixels[local],
+        colours=colour_sum[:, local].T + transmittance[local, None] * background,
         singular_skips=singular,
         pairs_evaluated=evaluated,
     )
@@ -399,22 +430,29 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
 def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
                  image_rank: int = 0,
                  contributions: ContributionState | None = None,
+                 *, planes: bool = True, share: tuple[int, int] = (0, 1),
                  ) -> tuple[ImageBuffers, RenderStats]:
     """Render one camera view, offering each tile's candidates to ``contributions``.
 
     Composites the tiles one after another, in ``tile_scene``'s order.
+    ``share=(part, parts)`` composites only ``tiles[part::parts]``: the
+    buffers and stats then hold those tiles alone, and only part 0 counts
+    the image as rendered. ``planes`` is passed on to ``composite_tile``;
+    without it only ``terminated`` is written.
     """
-    stats = RenderStats(images_rendered=1)
+    part, parts = share
+    stats = RenderStats(images_rendered=int(part == 0))
     projected = project(scene, pose)
 
-    tiles = tile_scene(projected, pose.width, pose.height, TILE_BUDGET)
+    tiles = tile_scene(projected, pose.width, pose.height, TILE_BUDGET)[part::parts]
     stats.tiles = len(tiles)
     stats.tiles_subdivided = sum(1 for t in tiles if t.level > 0)
     stats.max_tile_product = max((t.product for t in tiles), default=0)
 
     buffers = ImageBuffers.allocate(pose.width, pose.height)
     for tile in tiles:
-        piece = composite_tile(tile, projected, scene, buffers, background=config.background)
+        piece = composite_tile(tile, projected, scene, buffers, background=config.background,
+                               planes=planes)
         stats.singular_skips += piece.singular_skips
         stats.pairs_evaluated += piece.pairs_evaluated
         if contributions is not None and len(piece.rows):
@@ -432,6 +470,12 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
 
     Poses are processed in a deterministic order (stable sort by image_id);
     ``skip_cameras=k`` with k >= 2 drops every k-th pose from that order.
+    With W worker processes and no ``save_renders``, the first V - V mod W
+    views render whole, and each worker then takes a share of the tiles of
+    one of the V mod W views left over, so no worker sits idle while
+    another renders a last whole view; the full image planes are then not
+    composited either. ``save_renders`` renders every view whole, with its
+    planes.
     """
     if not poses:
         raise DomainError("rendering requires at least one camera pose")
@@ -445,37 +489,57 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
 
     scene.contribution = ContributionState.initial(scene.count, config.background)
 
-    if config.save_renders is not None:
+    planes = config.save_renders is not None
+    if planes:
         Path(config.save_renders).mkdir(parents=True, exist_ok=True)
 
-    # Each view composites its tiles serially; map_forked spreads the views
+    # Items are (rank, (part, parts)): whole views, then, when views are left
+    # over, one item per worker k, part k // left of the view whole + k % left
+    # among the workers sharing it. Item i runs on worker i % workers, so
+    # worker k takes tail item whole + k.
+    workers = fork_workers(config.threads, len(ordered))
+    left = 0 if planes else len(ordered) % workers
+    whole = len(ordered) - left
+    items = [(rank, (0, 1)) for rank in range(whole)]
+    items += [(whole + k % left, (k // left, len(range(k % left, workers, left))))
+              for k in range(workers if left else 0)]
+    pending = Counter(rank for rank, _ in items)  # shares still to arrive, per view
+
+    # Each item composites its tiles serially; map_forked spreads the items
     # over worker processes where it can fork. A forked child offers into its
     # copy of scene.contribution, still the initial state as map_forked forks
-    # every child before this process renders its first view.
-    def render_view(rank):
-        buffers, stats = render_image(scene, ordered[rank], config, rank, scene.contribution)
-        if config.save_renders is not None:
+    # every child before this process renders its first item.
+    def render_item(item):
+        rank, share = item
+        buffers, stats = render_image(scene, ordered[rank], config, rank, scene.contribution,
+                                      planes=planes, share=share)
+        if planes:
             write_ppm(Path(config.save_renders) / f"render_{rank:04d}.ppm", buffers.image)
         return rank, stats
 
-    views = {}
+    rendered = []
     started = time.perf_counter()
 
     def log_view(result):
         rank, stats = result
-        views[rank] = stats
+        rendered.append(stats)
+        pending[rank] -= 1
+        if pending[rank]:
+            return
+        del pending[rank]
+        done = len(ordered) - len(pending)
         elapsed = time.perf_counter() - started
         log.info("rendered view %d/%d (image_id=%s), %.1fs elapsed, ETA %.1fs",
-                 len(views), len(ordered), ordered[rank].image_id, elapsed,
-                 elapsed / len(views) * (len(ordered) - len(views)))
+                 done, len(ordered), ordered[rank].image_id, elapsed,
+                 elapsed / done * (len(ordered) - done))
 
-    # each forked child sends its state once, after its last view
-    for reached in map_forked(render_view, range(len(ordered)), config.threads, log_view,
+    # each forked child sends its state once, after its last item
+    for reached in map_forked(render_item, items, config.threads, log_view,
                               scene.contribution.reached):
         scene.contribution.offer(*reached)
-    total = RenderStats(**{f.name: sum(getattr(v, f.name) for v in views.values())
+    total = RenderStats(**{f.name: sum(getattr(s, f.name) for s in rendered)
                            for f in fields(RenderStats)})
-    total.max_tile_product = max(v.max_tile_product for v in views.values())
+    total.max_tile_product = max(s.max_tile_product for s in rendered)
     return total
 
 

@@ -241,7 +241,10 @@ def activate(raw: RawGaussians) -> GaussianScene:
     if len(raw) == 0:
         raise DomainError("cannot activate an empty set of gaussians")
 
-    rotation_unit = raw.rotation / np.linalg.norm(raw.rotation, axis=1, keepdims=True)
+    # the squares added left to right, as ((w^2 + x^2) + y^2) + z^2
+    w, x, y, z = raw.rotation.T
+    norm = np.sqrt(((w * w + x * x) + y * y) + z * z)
+    rotation_unit = raw.rotation / norm[:, None]
     covariance = np.empty((len(raw), 3, 3))
     ok = np.empty(len(raw), dtype=bool)
     for lo in range(0, len(raw), ACTIVATE_BLOCK_ROWS):

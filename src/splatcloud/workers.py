@@ -35,25 +35,33 @@ def map_threads(fn, items, threads: int) -> list:
     return [fn(item) for item in items]
 
 
+def fork_workers(threads: int, items: int) -> int:
+    """Processes :func:`map_forked` runs ``items`` items on for a ``--threads`` value.
+
+    At most one per item, and only this process where ``os.fork`` is missing
+    or another thread runs, since a forked child gets a copy of every lock
+    but only the calling thread.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(resolve_workers(threads), items))
+
+
 def map_forked(fn, items, threads: int, on_result, finish=lambda: None) -> list:
     """``on_result(fn(item))`` for every item, with ``fn`` run in worker processes.
 
-    Uses ``--threads`` workers, at most one per item, and only this process
-    where ``os.fork`` is missing or another thread runs, since a forked child
-    gets a copy of every lock but only the calling thread. Item i goes to
-    worker i % workers. Worker 0 is this process; the others are children
-    forked before it runs its first item, which pickle each result (or the
-    ``Exception`` that stopped them), then ``finish()`` once, back through a
-    pipe; a child stopped by ``SystemExit`` sends nothing and reads as gone.
-    ``on_result`` runs here, and the finish values are returned, both in
-    arrival order. A child leaves only through ``os._exit``, so no copied
-    frame runs a ``finally`` or an exit handler there. On any failure the
-    others are killed; every child is reaped before this returns or raises.
+    Uses :func:`fork_workers` workers, and item i goes to worker i % workers.
+    Worker 0 is this process; the others are children forked before it runs
+    its first item, which pickle each result (or the ``Exception`` that
+    stopped them), then ``finish()`` once, back through a pipe; a child
+    stopped by ``SystemExit`` sends nothing and reads as gone. ``on_result``
+    runs here, and the finish values are returned, both in arrival order. A
+    child leaves only through ``os._exit``, so no copied frame runs a
+    ``finally`` or an exit handler there. On any failure the others are
+    killed; every child is reaped before this returns or raises.
     """
     items = list(items)
-    workers = max(1, min(resolve_workers(threads), len(items)))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
+    workers = fork_workers(threads, len(items))
     pids, pending, finished = [], [], []
 
     def drain(timeout):

@@ -316,10 +316,10 @@ def test_failing_view_worker_is_a_render_error(tmp_path, scene_ply, colmap_dir, 
     # at 2 workers this process renders view 0 and one forked child view 1
     real_render_image = renderer.render_image
 
-    def render_image(scene, pose, config, image_rank=0, contributions=None):
+    def render_image(scene, pose, config, image_rank=0, contributions=None, **options):
         if image_rank == failing_rank:
             raise DomainError(f"view {image_rank} cannot be rendered")
-        return real_render_image(scene, pose, config, image_rank, contributions)
+        return real_render_image(scene, pose, config, image_rank, contributions, **options)
 
     monkeypatch.setattr(renderer, "render_image", render_image)
     out = tmp_path / "cloud.ply"

@@ -1,8 +1,9 @@
 """Memory guards: loading holds the file and the columns it reads, activation
 holds little beyond the scene it builds, projection a few hundred bytes per
-Gaussian beyond its output, sampling at most twice the output and writing a
-small part of it, outlier removal a few tens of bytes per point, and a row
-subset little more than the rows it keeps.
+Gaussian beyond its output, compositing 14 bytes per kept pair of a tile,
+sampling at most twice the output and writing a small part of it, outlier
+removal a few tens of bytes per point, and a row subset little more than the
+rows it keeps.
 
 numpy reports its buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once, measured in-process.
@@ -15,9 +16,16 @@ import pytest
 
 from splatcloud.config import SamplerConfig
 from splatcloud.formats import load_gaussians_ply, write_pointcloud_ply
-from splatcloud.renderer import project
+from splatcloud.renderer import (
+    TILE_BUDGET,
+    ImageBuffers,
+    ProjectedGaussians,
+    composite_tile,
+    project,
+    tile_scene,
+)
 from splatcloud.sampler import generate_pointcloud
-from splatcloud.scene import activate
+from splatcloud.scene import GaussianScene, activate
 from splatcloud.surface import remove_statistical_outliers
 from splatcloud.types import PointCloud, RawGaussians
 
@@ -105,6 +113,48 @@ def test_projection_memory_beyond_its_output():
         above_output[n] = peak - sum(column.nbytes for column in vars(projected).values())
     slope = (above_output[80_000] - above_output[20_000]) / 60_000
     assert slope <= 256, f"project holds {slope:.0f} bytes per Gaussian beyond its output"
+
+
+def deep_tile(depth, side=32):
+    """One tile of ``depth`` faint members over every pixel, within ``TILE_BUDGET``."""
+    rng = np.random.default_rng(depth)
+    projected = ProjectedGaussians(
+        gaussian_index=np.arange(depth),
+        mean2d=side / 2 + rng.uniform(-0.5, 0.5, (depth, 2)),
+        cov2d=np.tile(np.eye(2) * 1e4, (depth, 1, 1)),
+        depth=np.arange(1.0, depth + 1),
+        opacity=np.full(depth, 0.005),
+        bbox=np.tile([0, 0, side, side], (depth, 1)),
+    )
+    scene = GaussianScene(
+        position=np.zeros((depth, 3)), log_scale=np.zeros((depth, 3)),
+        rotation_unit=np.tile([1.0, 0.0, 0.0, 0.0], (depth, 1)), opacity=projected.opacity,
+        covariance=np.tile(np.eye(3), (depth, 1, 1)),
+        base_colour=rng.uniform(0.0, 1.0, (depth, 3)))
+    (tile,) = tile_scene(projected, side, side, TILE_BUDGET)
+    return tile, projected, scene
+
+
+def test_composite_memory_grows_by_the_kept_pairs():
+    # a tile keeps each run's surviving (member, pixel, weight) triples, 4 + 2
+    # + 8 bytes a pair, until it sums its colours; the rest of a run goes when
+    # the next starts. Keeping them as int64 members and pixels would cost 24
+    # bytes a pair, and summing at every pixel (--save-renders) about 32
+    peaks, kept = {}, {}
+    for depth in (400, 1600):  # 0.995^1600 > 1e-4: every pair of every member is kept
+        tile, projected, scene = deep_tile(depth)
+        buffers = ImageBuffers.allocate(32, 32)
+        tracemalloc.start()
+        try:
+            result = composite_tile(tile, projected, scene, buffers, planes=False)
+            _, peaks[depth] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not buffers.terminated.any()
+        kept[depth] = result.pairs_evaluated
+        assert kept[depth] == depth * tile.pixels
+    slope = (peaks[1600] - peaks[400]) / (kept[1600] - kept[400])
+    assert slope <= 16, f"composite holds {slope:.1f} bytes per kept pair"
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -2,7 +2,7 @@
 
 import os
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,9 @@ from splatcloud.renderer import (
     COV2D_LOWPASS,
     ImageBuffers,
     ProjectedGaussians,
+    RenderStats,
     Tile,
+    TileComposite,
     composite_tile,
     project,
     render_all,
@@ -516,6 +518,63 @@ def test_deep_pixels_and_dead_members_composite_exactly(monkeypatch):
         assert [a.tobytes() for a in other] == [a.tobytes() for a in runs[0]]
 
 
+def assert_lean_composite_equals_full(tile, projected, scene, width, height):
+    full, lean = ImageBuffers.allocate(width, height), ImageBuffers.allocate(width, height)
+    expected = composite_tile(tile, projected, scene, full)
+    result = composite_tile(tile, projected, scene, lean, planes=False)
+    for field in fields(TileComposite):
+        a, b = getattr(result, field.name), getattr(expected, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+    assert lean.terminated.tobytes() == full.terminated.tobytes()
+    untouched = ImageBuffers.allocate(width, height)
+    for plane in ("image", "t_final", "weight_sum"):
+        assert getattr(lean, plane).tobytes() == getattr(untouched, plane).tobytes()
+    return expected
+
+
+def test_lean_composite_returns_the_full_candidates(rng, monkeypatch):
+    # the deep-pixel and dead-member tile, and the hidden stack's tiles: sums
+    # at the best pixels only give the candidates of sums at every pixel
+    opaque, faint, hidden = 3, 1100, 20
+    n = opaque + faint + hidden
+    deep = np.random.default_rng(5)
+    mean2d = np.concatenate([np.full((opaque, 2), 4.0), np.full((faint, 2), 12.5),
+                             deep.uniform(1.0, 7.0, (hidden, 2))])
+    corner = np.floor(mean2d[-hidden:]).astype(np.int64) - 1
+    bbox = np.concatenate([np.tile([0, 0, 8, 8], (opaque, 1)),
+                           np.tile([12, 12, 13, 13], (faint, 1)),
+                           np.concatenate([corner, corner + 2], axis=1)])
+    cov2d = np.tile(np.eye(2), (n, 1, 1))
+    cov2d[:opaque] *= 1e4
+    opacity = np.concatenate([np.full(opaque, 0.995), np.full(faint, 0.005),
+                              np.full(hidden, 0.5)])
+    deep_projection = synthetic_projection(n, mean2d, np.arange(1.0, n + 1), opacity, bbox,
+                                           cov2d)
+    deep_scene = colour_scene(deep.uniform(0.0, 1.0, (n, 3)), opacity)
+
+    front = random_records(rng, 14, spread=0.05, log_scale_range=(-0.6, -0.3),
+                           opacity_logit_range=(4.5, 6.0))
+    behind = random_records(rng, 10, spread=0.1, log_scale_range=(-3.0, -2.5))
+    behind.position[:, 2] += 1.5
+    stack = activate(concat(front, behind))
+    stack_projection = project(stack, frontal_pose(width=32, height=32, focal=40.0))
+    monkeypatch.setattr(renderer, "TILE_SIZE", 16)
+    stack_tiles = tile_scene(stack_projection, 32, 32, renderer.TILE_BUDGET)
+
+    for chunk_pairs in (1, 509, renderer._CHUNK_PAIRS):
+        monkeypatch.setattr(renderer, "_CHUNK_PAIRS", chunk_pairs)
+        result = assert_lean_composite_equals_full(
+            Tile(0, 0, 16, 16, members=np.arange(n)), deep_projection, deep_scene, 16, 16)
+        assert len(result.rows) > opaque + 1000
+        terminated = 0
+        for tile in stack_tiles:
+            buffers = ImageBuffers.allocate(32, 32)
+            assert_lean_composite_equals_full(tile, stack_projection, stack, 32, 32)
+            composite_tile(tile, stack_projection, stack, buffers, planes=False)
+            terminated += int(np.count_nonzero(buffers.terminated))
+        assert terminated > 0, "the stack must terminate pixels"
+
+
 def test_transmittance_conservation(rng):
     scene = random_scene(rng, 18, spread=1.0)
     pose = frontal_pose(width=64, height=64, focal=55.0)
@@ -776,6 +835,103 @@ def test_progress_is_logged_as_each_forked_view_arrives(four_views, caplog, fork
         f"rendered view {i}/4" for i in range(1, 5)]
     assert sorted(line.split("image_id=")[1].split(")")[0] for line in lines) == [
         "0", "1", "2", "3"]
+
+
+@pytest.fixture
+def five_views(four_views):
+    scene, poses = four_views
+    return scene, poses + [orbit_pose(4, 5.2, width=48, height=40, focal=40.0)]
+
+
+def test_leftover_views_are_shared_by_every_worker(five_views, forks, monkeypatch):
+    scene, poses = five_views
+    expected_state = ContributionState.initial(scene.count)
+    views = [render_image(scene, pose, RenderConfig(threads=1), rank, expected_state)[1]
+             for rank, pose in enumerate(poses)]
+    expected_stats = RenderStats(**{f.name: sum(getattr(v, f.name) for v in views)
+                                    for f in fields(RenderStats)})
+    expected_stats.max_tile_product = max(v.max_tile_product for v in views)
+
+    calls = []  # the (rank, share) items this process renders
+    real_render_image = renderer.render_image
+
+    def render_image_here(scene, pose, config, image_rank=0, contributions=None, **options):
+        calls.append((image_rank, options["share"]))
+        return real_render_image(scene, pose, config, image_rank, contributions, **options)
+
+    monkeypatch.setattr(renderer, "render_image", render_image_here)
+    # 0, 1, 2 and 1 views left over: this process, worker 0, renders views
+    # 0, W, ... whole, then part 0 of the first view left over
+    whole = (0, 1)
+    here = {1: [(rank, whole) for rank in range(5)],
+            2: [(0, whole), (2, whole), (4, (0, 2))],
+            3: [(0, whole), (3, (0, 2))],  # view 3 in two parts, view 4 in one
+            4: [(0, whole), (4, (0, 4))]}
+    for workers in (1, 2, 3, 4):
+        forks.clear()
+        calls.clear()
+        stats = render_all(scene, poses, RenderConfig(threads=workers))
+        assert len(forks) == workers - 1
+        assert calls == here[workers]
+        assert state_bytes(scene.contribution) == state_bytes(expected_state)
+        assert stats == expected_stats
+    assert expected_stats.images_rendered == 5
+
+
+def test_a_share_composites_only_its_own_tiles(five_views):
+    scene, poses = five_views
+    pose, config = poses[0], RenderConfig(threads=1)
+    whole_state = ContributionState.initial(scene.count)
+    whole, whole_stats = render_image(scene, pose, config, 0, whole_state, planes=False)
+    tiles = tile_scene(project(scene, pose), pose.width, pose.height, renderer.TILE_BUDGET)
+    assert len(tiles) > 3
+
+    shared_state = ContributionState.initial(scene.count)
+    shares = [render_image(scene, pose, config, 0, shared_state, planes=False, share=(k, 3))
+              for k in range(3)]
+    assert [stats.images_rendered for _, stats in shares] == [1, 0, 0]
+    for k, (buffers, stats) in enumerate(shares):
+        own = tiles[k::3]
+        assert stats.tiles == len(own)
+        assert stats.tiles_subdivided == sum(1 for t in own if t.level > 0)
+        assert stats.max_tile_product == max(t.product for t in own)
+        inside = np.zeros_like(whole.terminated)
+        for t in own:
+            inside[t.y0:t.y1, t.x0:t.x1] = True
+        assert np.array_equal(buffers.terminated, whole.terminated & inside)
+        assert stats.pixels_terminated == np.count_nonzero(buffers.terminated)
+    for field in ("tiles", "tiles_subdivided", "singular_skips", "pairs_evaluated",
+                  "pixels_terminated"):
+        assert sum(getattr(stats, field) for _, stats in shares) == getattr(whole_stats, field)
+    assert state_bytes(shared_state) == state_bytes(whole_state)
+
+
+def test_a_shared_view_is_logged_once_its_last_share_arrives(five_views, caplog, forks,
+                                                             monkeypatch):
+    scene, poses = five_views
+    arrivals = []  # per result this process receives: its view, and whether it logged
+    real_map_forked = renderer.map_forked
+
+    def map_forked_here(fn, items, threads, on_result, finish):
+        def receive(result):
+            before = len(caplog.records)
+            on_result(result)
+            arrivals.append((result[0], len(caplog.records) > before))
+        return real_map_forked(fn, items, threads, receive, finish)
+
+    monkeypatch.setattr(renderer, "map_forked", map_forked_here)
+    with caplog.at_level("INFO", logger="splatcloud.renderer"):
+        render_all(scene, poses, RenderConfig(threads=3))  # view 3 in two parts, view 4 in one
+    assert len(forks) == 2
+    lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert [line.split(" (")[0] for line in lines] == [
+        f"rendered view {i}/5" for i in range(1, 6)]
+    assert sorted(line.split("image_id=")[1].split(")")[0] for line in lines) == [
+        "0", "1", "2", "3", "4"]
+    assert sorted(rank for rank, _ in arrivals) == [0, 1, 2, 3, 3, 4]
+    for rank in range(5):
+        logged = [line for view, line in arrivals if view == rank]
+        assert logged == [False] * (len(logged) - 1) + [True]
 
 
 def test_write_ppm_quantisation(tmp_path):

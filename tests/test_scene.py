@@ -1,5 +1,7 @@
 """Activation, covariance construction and scene filters."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,24 @@ def test_rotate_diagonal_keeps_its_order():
     assert expected != entries(lambda a0, a1, a2: (a0 + a2) + a1)
     assert any(m[i][k] != m[k][i] for m in expected for i, k in ((0, 1), (0, 2), (1, 2)))
     assert rotate_diagonal(rot, diagonal).tolist() == expected
+
+
+def test_quaternion_norm_adds_its_squares_left_to_right():
+    # ((w^2 + x^2) + y^2) + z^2, then the square root; on components of mixed
+    # sizes another order changes bits
+    rng = np.random.default_rng(26)
+    quats = rng.standard_normal((500, 4)) * 10.0 ** rng.integers(-3, 4, (500, 4))
+    scene = activate(RawGaussians(position=np.zeros((500, 3)), log_scale=np.zeros((500, 3)),
+                                  rotation=quats, logit_opacity=np.zeros(500),
+                                  sh_dc=np.zeros((500, 3))))
+
+    def unit(add4):
+        return [[c / math.sqrt(add4(*(c * c for c in q))) for c in q] for q in quats.tolist()]
+
+    expected = unit(lambda a0, a1, a2, a3: ((a0 + a1) + a2) + a3)
+    assert expected != unit(lambda a0, a1, a2, a3: (a0 + a1) + (a2 + a3))
+    assert expected != unit(lambda a0, a1, a2, a3: ((a3 + a2) + a1) + a0)
+    assert scene.rotation_unit.tolist() == expected
 
 
 def test_activate_drops_degenerate(rng):
