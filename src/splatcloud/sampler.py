@@ -24,8 +24,8 @@ log = logging.getLogger(__name__)
 BIN_THRESHOLD = 50
 BIN_WIDTH = 5
 
-# Points transformed at once by one worker, and rows moved at once when the
-# cloud's gaps are closed: bounds the float64 temporaries of a batch.
+# Draws tested, redrawn or transformed at once by one worker, and rows moved
+# at once when the cloud's gaps are closed: bounds the temporaries of a batch.
 SAMPLE_BLOCK_POINTS = 1 << 15
 
 # Draws at or beyond this magnitude would be inf in the float32 cloud.
@@ -127,13 +127,16 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     dropped too and counted as rejected.
 
     All of ``z`` is drawn before any redraw, which fixes the generator's
-    stream. The transform, the range check and the float32 cast then run
-    over blocks of about ``SAMPLE_BLOCK_POINTS`` points, and each block's
-    draws go straight to their rows: the r-th kept draw of Gaussian g lands
-    at row ``starts[g] + r`` of ``out = (points, colours, starts)``, and the
-    rows a short Gaussian leaves unused are not touched. So a batch holds one
-    float64 copy (its draws) at full size. Without ``out`` the batch fills
-    its own arrays, each Gaussian's draws back to back.
+    stream. The acceptance test, each redraw round (in pieces of pending
+    slots, which take the same numbers from the stream), and the transform
+    with its range check, float32 cast and colour quantisation run over
+    blocks of about ``SAMPLE_BLOCK_POINTS`` points; the transform forms one
+    coordinate at a time. Each block's draws go straight to their rows: the
+    r-th kept draw of Gaussian g lands at row ``starts[g] + r`` of
+    ``out = (points, colours, starts)``, and the rows a short Gaussian leaves
+    unused are not touched. So a batch holds its float64 draws, one flag per
+    draw and one block's temporaries. Without ``out`` the batch fills its
+    own arrays, each Gaussian's draws back to back.
 
     Every 3-term sum, the transform's ``(L z)_i`` and the norm ``||z||^2``,
     is added in the fixed order ``(j0 + j2) + j1`` (see :func:`dot3`), so
@@ -153,8 +156,13 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     rng = np.random.Generator(np.random.Philox(key=np.uint64(batch.rng_seed)))
     threshold_sq = float(sigma_threshold) ** 2
 
+    per_block = max(1, SAMPLE_BLOCK_POINTS // count)
+    blocks = [slice(lo, lo + per_block) for lo in range(0, k, per_block)]
+
     z = rng.standard_normal((k, count, 3))
-    pending = dot3(z, z) > threshold_sq
+    pending = np.empty((k, count), dtype=bool)
+    for members in blocks:
+        np.greater(dot3(z[members], z[members]), threshold_sq, out=pending[members])
     rejected = int(np.count_nonzero(pending))
     # flat views: pending slots are listed in row-major order, the order in
     # which their redraws are taken from the stream
@@ -163,13 +171,16 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
         slots = np.flatnonzero(pending_slots)
         if len(slots) == 0:
             break
-        fresh = rng.standard_normal((len(slots), 3))
-        still = dot3(fresh, fresh) > threshold_sq
-        z_slots[slots] = fresh
-        pending_slots[slots] = still
-        rejected += int(np.count_nonzero(still))
+        # a round's normals drawn piece by piece are the numbers drawn at once
+        for lo in range(0, len(slots), SAMPLE_BLOCK_POINTS):
+            piece = slots[lo:lo + SAMPLE_BLOCK_POINTS]
+            fresh = rng.standard_normal((len(piece), 3))
+            still = dot3(fresh, fresh) > threshold_sq
+            z_slots[piece] = fresh
+            pending_slots[piece] = still
+            rejected += int(np.count_nonzero(still))
 
-    accepted = ~pending
+    accepted = np.logical_not(pending, out=pending)  # pending is not read again
     if out is None:
         drawn = accepted.sum(axis=1)
         first = np.cumsum(drawn) - drawn
@@ -181,22 +192,21 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     # whole-row views: one 12-byte point or 3-byte colour per element, so a
     # scatter moves rows rather than (n, 3) elements
     point_rows, colour_rows = _rows(points), _rows(colours)
-    palette = _rows(quantize_colours(scene.point_colours()[indices]))
+    source = scene.point_colours()
     kept_counts = np.empty(k, dtype=np.int64)
-    per_block = max(1, SAMPLE_BLOCK_POINTS // count)
-    for lo in range(0, k, per_block):
-        members = slice(lo, lo + per_block)
-        cholesky = cholesky3(scene.covariance[indices[members]])[0]
+    for members in blocks:
+        gaussians = indices[members]
+        cholesky = cholesky3(scene.covariance[gaussians])[0]
+        centre, block_z = scene.position[gaussians], z[members]
+        moved32 = np.empty(block_z.shape, dtype=np.float32)
+        in_range = np.ones(block_z.shape[:2], dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            moved = scene.position[indices[members], None, :] \
-                + dot3(cholesky[:, None], z[members, :, None])
-            # the one float64 -> float32 cast; draws it overflows are dropped below
-            moved32 = moved.astype(np.float32)
+            for i in range(3):  # one coordinate at a time: mu_i + (L z)_i
+                coordinate = centre[:, None, i] + dot3(cholesky[:, None, i], block_z)
+                # the one float64 -> float32 cast; draws it overflows are dropped below
+                moved32[..., i] = coordinate
+                in_range &= np.abs(coordinate) < _FLOAT32_MAX  # NaN fails this test
         keep = accepted[members]
-        reach = np.abs(moved)  # NaN stays NaN and fails the test below
-        # pairwise maxima: several times faster than .max(axis=2) on a 3-wide axis
-        in_range = np.maximum(np.maximum(reach[..., 0], reach[..., 1]),
-                              reach[..., 2]) < _FLOAT32_MAX
         rejected += int(np.count_nonzero(keep & ~in_range))
         keep &= in_range
         kept = kept_counts[members] = keep.sum(axis=1)
@@ -205,7 +215,7 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
         rows = np.repeat(first[members] - (np.cumsum(kept) - kept), kept) \
             + np.arange(kept.sum())
         point_rows[rows] = _rows(moved32)[keep]
-        colour_rows[rows] = np.repeat(palette[members], kept)
+        colour_rows[rows] = np.repeat(_rows(quantize_colours(source[gaussians])), kept)
 
     if out is None:  # close the rows that out-of-range draws left unused
         _close_gaps((points, colours), first, drawn, kept_counts)

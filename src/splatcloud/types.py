@@ -20,6 +20,10 @@ log = logging.getLogger(__name__)
 # allocates whole images, so a corrupt size must fail at load instead.
 MAX_IMAGE_SIDE = 65535
 
+# Normals whose length a point cloud checks at once: bounds the float64
+# temporaries of the check.
+NORMAL_CHECK_ROWS = 1 << 15
+
 
 def take_rows(table, selector):
     """The rows ``selector`` picks from every column of a columnar dataclass.
@@ -169,6 +173,11 @@ class CameraPose:
                        cx=self.cx * sx, cy=self.cy * sy)
 
 
+def _worst_unit_deviation(normals: np.ndarray) -> float:
+    """Largest ``| ||n|| - 1 |`` over the rows, from a float64 norm; NaN if any is NaN."""
+    return np.abs(np.linalg.norm(normals.astype(np.float64), axis=1) - 1.0).max()
+
+
 @dataclass
 class PointCloud:
     """Positions with 8-bit colours and optional unit normals."""
@@ -190,9 +199,11 @@ class PointCloud:
                 raise DomainError(
                     f"points/normals length mismatch: {len(self.points)} vs {len(self.normals)}"
                 )
-            norms = np.linalg.norm(self.normals.astype(np.float64), axis=1)
-            if len(norms) and not np.all(np.abs(norms - 1.0) <= 1e-4):
-                worst = float(np.abs(norms - 1.0).max())
+            # np.max, unlike max(), keeps a NaN block's NaN as the worst
+            worst = np.max([_worst_unit_deviation(self.normals[lo:lo + NORMAL_CHECK_ROWS])
+                            for lo in range(0, len(self.normals), NORMAL_CHECK_ROWS)],
+                           initial=0.0)
+            if not worst <= 1e-4:
                 raise DomainError(f"normals must be unit length (worst deviation {worst:.2e})")
 
     def __len__(self) -> int:

@@ -5,7 +5,6 @@ import pickle
 import select
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 
 def resolve_workers(threads: int) -> int:
@@ -23,16 +22,52 @@ def thread_workers(threads: int) -> int:
 
 
 def map_threads(fn, items, threads: int) -> list:
-    """``[fn(item) for item in items]``, on a pool of :func:`thread_workers` threads.
+    """``[fn(item) for item in items]``, on this thread and its helper threads.
 
-    Runs serially when there is one worker or at most one item. The results
-    are in the order of ``items`` either way.
+    The calling thread and ``thread_workers(threads) - 1`` helpers (none
+    beyond one per item) each take the next item from one shared queue, so
+    the caller works too, reusing its own heap rather than leaving a second
+    helper to grow one. The results are in the order of ``items``. The first
+    exception a worker raises (on this thread, ``KeyboardInterrupt`` and
+    ``SystemExit`` too) stops every worker from taking another item, and is
+    re-raised here once the helpers have finished the items they hold.
     """
-    workers = thread_workers(threads)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    items = list(items)
+    results = [None] * len(items)
+    queue = iter(range(len(items)))
+    lock = threading.Lock()
+    stop = threading.Event()
+    failures = []
+
+    def work():
+        while True:
+            with lock:
+                index = None if stop.is_set() else next(queue, None)
+            if index is None:
+                return
+            results[index] = fn(items[index])
+
+    def helper():
+        try:
+            work()
+        except BaseException as err:
+            failures.append(err)
+            stop.set()
+
+    helpers = [threading.Thread(target=helper, daemon=True)
+               for _ in range(min(thread_workers(threads), len(items)) - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        work()
+    finally:
+        stop.set()  # the queue is empty unless this thread raised
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def fork_workers(threads: int, items: int) -> int:

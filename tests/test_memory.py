@@ -1,9 +1,10 @@
 """Memory guards: loading holds the file and the columns it reads, activation
 holds little beyond the scene it builds, projection a few hundred bytes per
 Gaussian beyond its output, compositing 14 bytes per kept pair of a tile,
-sampling at most twice the output and writing a small part of it, outlier
-removal a few tens of bytes per point, and a row subset little more than the
-rows it keeps.
+sampling its draws and one block (at most twice the output in all) and
+writing a small part of it, outlier removal a few tens of bytes per point, a
+row subset little more than the rows it keeps, and a point cloud's normals
+check one block of rows.
 
 numpy reports its buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once, measured in-process.
@@ -24,7 +25,7 @@ from splatcloud.renderer import (
     project,
     tile_scene,
 )
-from splatcloud.sampler import generate_pointcloud
+from splatcloud.sampler import SampleBatch, derive_batch_seed, generate_pointcloud, sample_batch
 from splatcloud.scene import GaussianScene, activate
 from splatcloud.surface import remove_statistical_outliers
 from splatcloud.types import PointCloud, RawGaussians
@@ -181,6 +182,28 @@ def test_sampling_and_writing_peaks_stay_near_output_size(tmp_path, exact):
         f"writing peaked at {(write_peak - with_cloud) / output_bytes:.2f}x the output"
 
 
+def test_sampling_holds_its_draws_and_one_block():
+    # a batch holds its float64 draws (24 bytes a draw), a pending flag each
+    # and two int64 row offsets per Gaussian; the acceptance test, the
+    # redraws, the transform and the colours run one block at a time. Testing
+    # or quantising the whole batch at once held about 42 bytes a draw
+    count = 5
+    scene = varied_scene(200_000)
+    peaks = {}
+    for k in (100_000, 200_000):  # many blocks each, so a block's temporaries cancel
+        batch = SampleBatch(np.arange(k), count, derive_batch_seed(6, 0, count))
+        out = (np.empty((k * count, 3), dtype=np.float32),
+               np.empty((k * count, 3), dtype=np.uint8), np.arange(k) * count)
+        tracemalloc.start()
+        try:
+            sample_batch(batch, scene, 2.0, out=out)
+            _, peaks[k] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[200_000] - peaks[100_000]) / (100_000 * count)
+    assert slope <= 34, f"sampling holds {slope:.1f} bytes per draw"
+
+
 def oriented_cloud(n, seed=3):
     """``n`` points uniform in a cube, with random unit normals."""
     rng = np.random.default_rng(seed)
@@ -223,3 +246,20 @@ def test_take_holds_little_more_than_the_kept_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * kept_bytes, f"take peaked at {peak / kept_bytes:.2f}x the kept rows"
+
+
+def test_point_cloud_checks_its_normals_one_block_at_a_time():
+    # the float64 norm of one block of rows at a time; a float64 copy of every
+    # normal and the norm's temporaries held about 64 bytes a point
+    peaks = {}
+    for n in (40_000, 160_000):
+        cloud = oriented_cloud(n)
+        columns = cloud.points, cloud.colours, cloud.normals  # float32 already: no copies
+        tracemalloc.start()
+        try:
+            PointCloud(*columns)
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[160_000] - peaks[40_000]) / 120_000
+    assert slope <= 4, f"checking the normals holds {slope:.1f} bytes per point"

@@ -1,7 +1,9 @@
-"""Worker counts and the forked map the colour pass renders its views with."""
+"""Worker counts, the thread map sampling runs on and the forked map the colour
+pass renders its views with."""
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -101,9 +103,49 @@ def test_a_child_never_waits_on_this_process_mid_pass():
 
 
 def test_thread_pools_start_no_more_threads_than_usable_cpus(monkeypatch, thread_starts):
+    # the calling thread is one of the two workers
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert map_threads(lambda i: time.sleep(0.01) or i, list(range(8)), 64) == list(range(8))
-    assert len(thread_starts) <= 2
+    assert len(thread_starts) <= 1
+
+
+def test_map_threads_keeps_item_order_when_item_times_are_uneven(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    delays = [0.03, 0.0, 0.02, 0.0, 0.01, 0.0, 0.03, 0.0, 0.02]
+
+    def fn(i):
+        time.sleep(delays[i])
+        return i, threading.get_ident()
+
+    results = map_threads(fn, range(len(delays)), 3)
+    assert [i for i, _ in results] == list(range(len(delays)))
+    assert threading.get_ident() in {thread for _, thread in results}  # the caller worked
+
+
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raises_on, error", [
+    ("caller", Stop), ("caller", KeyboardInterrupt), ("helper", Stop)])
+def test_an_item_that_raises_stops_later_items_from_starting(monkeypatch, thread_starts,
+                                                             raises_on, error):
+    # every item but the failing one runs long enough for the failure to be seen
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+
+    def fn(i):
+        started.append(i)
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (raises_on == "caller"):
+            raise error(f"item {i}")
+        time.sleep(0.05)
+        return i
+
+    with pytest.raises(error, match="item"):
+        map_threads(fn, range(20), 2)
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    assert sorted(started) == list(range(len(started))) and len(started) <= 3
 
 
 class Unpicklable(Exception):
