@@ -256,15 +256,17 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
     transmittance fell below the early-out in an earlier run are dead: a
     member whose box holds no live pixel (counted with a summed-area table)
     makes no pairs, and pairs at dead pixels are dropped before their
-    falloff is evaluated. Each run keeps its surviving (member, pixel,
-    weight) triples; after the last run one ``bincount`` per channel sums
-    them in run order, the additions a per-pixel loop makes.
+    falloff is evaluated. Each pixel sums its pairs' colours front to back,
+    run after run, the additions a per-pixel loop makes.
 
     Writes the tile's rect of ``buffers.terminated`` and returns the tile's
     candidates; ``render_image`` merges them into the contribution state.
     With ``planes`` it also writes the rect's ``image``, ``t_final`` and
-    ``weight_sum`` and sums colours at every pixel; without, it sums them
-    only at the members' best pixels, the only colours the candidates read.
+    ``weight_sum`` and sums colours at every pixel, adding each run's pairs
+    in with ``np.add.at`` before the next run starts; without, each run keeps
+    its surviving (member, pixel, weight) triples, and after the last run one
+    ``bincount`` per channel sums them only at the members' best pixels, the
+    only colours the candidates read.
     """
     background = np.asarray(background, dtype=np.float64)
     image_width = buffers.image.shape[1]
@@ -286,7 +288,9 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
     # per-pixel state, row-major over the tile
     transmittance = np.ones(npix)
     done = np.zeros(npix, dtype=bool)
-    triples = []  # per run: its surviving (member, pixel, weight) triples
+    colour_sum = np.zeros((3, npix))
+    weight_sum = np.zeros(npix)
+    triples = []  # without planes, per run: its surviving (member, pixel, weight) triples
 
     m = len(rows)
     best_values = np.zeros(m)
@@ -382,7 +386,12 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
 
             weight = alpha[alive] * flat[before[alive]]
             member, pixel = member[alive], pixel[alive]
-            triples.append((member.astype(np.int32), pixel.astype(key_type), weight))
+            if planes:  # add.at adds in pair order, as the bincount below does
+                for c in range(3):
+                    np.add.at(colour_sum[c], pixel, weight * colours[member, c])
+                np.add.at(weight_sum, pixel, weight)
+            else:
+                triples.append((member.astype(np.int32), pixel.astype(key_type), weight))
 
             # a member's pairs all fall in one run: strictly larger wins,
             # ties go to the lower pixel
@@ -392,23 +401,18 @@ def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianSce
 
     contributing = np.flatnonzero(best_values > 0.0)
     local = best_local[contributing]
-    if not planes:  # only the best pixels' sums are read
+    if triples:  # only the best pixels' sums are read
         wanted = np.zeros(npix, dtype=bool)
         wanted[local] = True
         for i, (member, pixel, weight) in enumerate(triples):
             take = wanted[pixel]
             triples[i] = member[take], pixel[take], weight[take]
-    # bincount adds in input order from 0, so each pixel adds its pairs front
-    # to back, run after run: the sum a per-pixel loop carries
-    colour_sum = np.zeros((3, npix))
-    weight_sum = np.zeros(npix)
-    if triples:
+        # bincount adds in input order from 0, so each pixel adds its pairs
+        # front to back, run after run: the sum a per-pixel loop carries
         member, pixel, weight = (np.concatenate(column) for column in zip(*triples))
         del triples
         for c in range(3):
             colour_sum[c] = np.bincount(pixel, weight * colours[member, c], npix)
-        if planes:
-            weight_sum = np.bincount(pixel, weight, npix)
 
     buffers.terminated[tile.y0:tile.y1, tile.x0:tile.x1] = done.reshape(height, width)
     if planes:

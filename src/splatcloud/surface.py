@@ -17,14 +17,15 @@ from .errors import DomainError
 from .sampler import SampleStats, _sample_scene
 from .scene import GaussianScene, dot3, quats_to_rotmats
 from .types import PointCloud
-from .workers import thread_workers
+from .workers import map_threads, thread_workers
 
 log = logging.getLogger(__name__)
 
-# Rows per k-NN query in outlier removal: each block's (k + 1)-wide distance
-# and index arrays are freed before the next, so memory does not grow with
-# k times the cloud size.
-SOR_BLOCK_ROWS = 1 << 15
+# k-NN result rows outlier removal holds at once, over all its threads: each
+# takes blocks of SOR_BLOCK_ROWS // threads rows, and a block's (k + 1)-wide
+# distance and index arrays are freed before its thread takes the next, so
+# memory grows neither with k times the cloud size nor with the thread count.
+SOR_BLOCK_ROWS = 1 << 14
 
 
 @dataclass
@@ -75,8 +76,12 @@ def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
                                 std_ratio: float = 2.0, workers: int = 1) -> PointCloud:
     """Drop points whose mean k-NN distance exceeds mean + std_ratio * std.
 
-    Exact nearest neighbours via a KD-tree queried on ``workers`` threads,
-    ``SOR_BLOCK_ROWS`` points at a time in the tree's own point order; each
+    Exact nearest neighbours via a KD-tree, queried in blocks of
+    ``SOR_BLOCK_ROWS // thread_workers(workers)`` points taken in the tree's
+    own point order from one queue, which the calling thread and its helpers
+    (``thread_workers(workers)`` threads in all, see :func:`map_threads`)
+    share; each query runs on one thread and releases the GIL, and the
+    threads together hold at most ``SOR_BLOCK_ROWS`` result rows. Each
     query's result is independent of the split and the order, so the
     survivors (in their original order) are the same for any worker count
     and block size.
@@ -92,14 +97,20 @@ def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
     from scipy.spatial import cKDTree  # imported here so only --mesh-prep loads scipy
 
     points = cloud.points.astype(np.float64)
-    tree = cKDTree(points)
+    # 64-point leaves, not the default 16: the tree's nodes and indices take
+    # about 15 bytes a point rather than 27 and build a little faster, and an
+    # exact query returns the same distances whatever the tree's shape
+    tree = cKDTree(points, leafsize=64)
     mean_distance = np.empty(len(points))
-    for start in range(0, len(points), SOR_BLOCK_ROWS):
+    block_rows = max(1, SOR_BLOCK_ROWS // thread_workers(workers))
+
+    def query(start):
         # in the tree's leaf order, neighbouring queries walk the same nodes
-        rows = tree.indices[start:start + SOR_BLOCK_ROWS]
-        distances = tree.query(points[rows], k=k_neighbours + 1, workers=workers)[0]
+        rows = tree.indices[start:start + block_rows]
+        distances = tree.query(points[rows], k=k_neighbours + 1)[0]
         mean_distance[rows] = distances[:, 1:].mean(axis=1)  # column 0 is the point itself
-        del distances  # free this block before the next one is queried
+
+    map_threads(query, range(0, len(points), block_rows), workers)
     del tree, points  # free before take() copies the survivors
     threshold = mean_distance.mean() + std_ratio * mean_distance.std()
     keep = mean_distance <= threshold

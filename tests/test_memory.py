@@ -1,15 +1,16 @@
 """Memory guards: loading holds the file and the columns it reads, activation
 holds little beyond the scene it builds, projection a few hundred bytes per
-Gaussian beyond its output, compositing 14 bytes per kept pair of a tile,
-sampling its draws and one block (at most twice the output in all) and
-writing a small part of it, outlier removal a few tens of bytes per point, a
-row subset little more than the rows it keeps, and a point cloud's normals
-check one block of rows.
+Gaussian beyond its output, compositing at most 14 bytes per kept pair of a
+tile, sampling its draws and one block (at most twice the output in all) and
+writing a small part of it, outlier removal a few tens of bytes per point and
+a fixed number of k-NN rows at any thread count, a row subset little more
+than the rows it keeps, and a point cloud's normals check one block of rows.
 
 numpy reports its buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once, measured in-process.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from splatcloud.sampler import SampleBatch, derive_batch_seed, generate_pointclo
 from splatcloud.scene import GaussianScene, activate
 from splatcloud.surface import remove_statistical_outliers
 from splatcloud.types import PointCloud, RawGaussians
+from splatcloud.workers import thread_workers
 
 from conftest import frontal_pose, perfbench_gen
 
@@ -140,22 +142,26 @@ def test_composite_memory_grows_by_the_kept_pairs():
     # a tile keeps each run's surviving (member, pixel, weight) triples, 4 + 2
     # + 8 bytes a pair, until it sums its colours; the rest of a run goes when
     # the next starts. Keeping them as int64 members and pixels would cost 24
-    # bytes a pair, and summing at every pixel (--save-renders) about 32
-    peaks, kept = {}, {}
-    for depth in (400, 1600):  # 0.995^1600 > 1e-4: every pair of every member is kept
-        tile, projected, scene = deep_tile(depth)
-        buffers = ImageBuffers.allocate(32, 32)
-        tracemalloc.start()
-        try:
-            result = composite_tile(tile, projected, scene, buffers, planes=False)
-            _, peaks[depth] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert not buffers.terminated.any()
-        kept[depth] = result.pairs_evaluated
-        assert kept[depth] == depth * tile.pixels
-    slope = (peaks[1600] - peaks[400]) / (kept[1600] - kept[400])
-    assert slope <= 16, f"composite holds {slope:.1f} bytes per kept pair"
+    # bytes a pair. Summing at every pixel (--save-renders) adds each run's
+    # pairs in before the next run starts and keeps none; concatenating the
+    # runs' triples and bincounting them there cost about 32
+    for planes in (False, True):
+        peaks, kept = {}, {}
+        for depth in (400, 1600):  # 0.995^1600 > 1e-4: every pair of every member is kept
+            tile, projected, scene = deep_tile(depth)
+            buffers = ImageBuffers.allocate(32, 32)
+            tracemalloc.start()
+            try:
+                result = composite_tile(tile, projected, scene, buffers, planes=planes)
+                _, peaks[depth] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert not buffers.terminated.any()
+            kept[depth] = result.pairs_evaluated
+            assert kept[depth] == depth * tile.pixels
+        slope = (peaks[1600] - peaks[400]) / (kept[1600] - kept[400])
+        assert slope <= 16, \
+            f"composite (planes={planes}) holds {slope:.1f} bytes per kept pair"
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -230,6 +236,30 @@ def test_outlier_removal_memory_does_not_grow_with_k():
             tracemalloc.stop()
     slope = (peaks[160_000] - peaks[40_000]) / 120_000
     assert slope <= 128, f"outlier removal holds {slope:.0f} bytes per point"
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_outlier_removal_holds_a_fixed_number_of_rows_in_flight(monkeypatch, workers):
+    # its threads share 2^14 k-NN result rows, each a block's k + 1 float64
+    # distances and intp indices and its float64 query point: 21 * 16 + 24
+    # bytes at k = 20. Beside them sit the float64 copy of the positions, the
+    # tree's index array and the mean distances, 40 bytes a point. One
+    # 2^15-row block, or a fixed 2^13-row block per thread at 4 threads,
+    # holds twice the rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    assert thread_workers(workers) == workers
+    remove_statistical_outliers(oriented_cloud(100), 20)  # loads scipy untraced
+    n = 1 << 17  # 8 blocks at 1 worker, 32 at 4
+    cloud = oriented_cloud(n)
+    tracemalloc.start()
+    try:
+        remove_statistical_outliers(cloud, 20, 2.0, workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    in_flight = (peak - 40 * n) / ((1 << 14) * (21 * 16 + 24))
+    assert in_flight <= 1.2, f"outlier removal holds {in_flight:.2f}x 2^14 rows in flight"
 
 
 def test_take_holds_little_more_than_the_kept_rows():

@@ -351,8 +351,8 @@ def test_every_surface_point_carries_its_gaussians_normal(monkeypatch, threads):
 
 
 def test_threads_above_the_cpu_count_start_no_more_threads(monkeypatch, thread_starts):
-    # --threads 64 on 2 usable CPUs: the sampling pool and each block's k-NN
-    # query start at most 2 threads each
+    # --threads 64 on 2 usable CPUs: sampling and outlier removal each start
+    # one helper thread, and the k-NN queries start none of their own
     rng = np.random.default_rng(909)
     scene = rendered_scene(rng, 300)
     scene.contribution.best_contribution[:] = rng.uniform(0.0, 1.0, scene.count)
@@ -362,7 +362,7 @@ def test_threads_above_the_cpu_count_start_no_more_threads(monkeypatch, thread_s
                                                          surface_points=2000))
     blocks = -(-stats.emitted // 256)
     assert blocks >= 4
-    assert len(thread_starts) <= 2 * (1 + blocks)
+    assert len(thread_starts) <= 2
 
 
 def test_surface_export_rejects_nan_std_ratio(rng):
