@@ -95,9 +95,11 @@ def _threads():
     # RenderConfig and SamplerConfig each need it; PipelineConfig inherits one field.
     return option(0, "workers, 0 = one per usable CPU: processes for the colour pass (at most "
                   "one per view, each rendering whole views, then a share of the tiles of the "
-                  "views left over), threads for sampling and for outlier removal (the calling "
-                  "thread among them, pulling k-NN blocks from one queue; at most one per usable "
-                  "CPU); results do not depend on N",
+                  "views left over; at 2 or more they are forked children and this process "
+                  "renders no view, merging each worker's rows as they arrive; at 1, or without "
+                  "os.fork, views render in this process), threads for sampling and for outlier "
+                  "removal (the calling thread among them, pulling k-NN blocks from one queue; "
+                  "at most one per usable CPU); results do not depend on N",
                   "N", check=_at_least(0))
 
 

@@ -20,12 +20,13 @@ live by the runs before it, and drops the pairs of the others at such
 pixels, as 3DGS's tile-level early termination does. The colour sums come
 after the last run, from the kept pairs in run order; the colour pass sums
 them only at the pixels its candidates read. ``render_all`` renders views
-in forked worker processes (or one after another where it cannot fork),
-each compositing its tiles serially into its own contribution state. The
-views left over once every worker has as many whole views have their tiles
-dealt to every worker. Tiles are independent and the contribution merge is
-a total order, so each worker's state merges into one and neither the
-dealing nor the merge order changes a byte.
+in forked worker processes (or one after another in this process where it
+cannot fork or has one worker), each compositing its tiles serially into
+its own contribution state. The views left over once every worker has as
+many whole views have their tiles dealt to every worker by estimated
+cost. Tiles are independent and the contribution merge is a total order,
+so each worker's state merges into this process's as it arrives and
+neither the dealing nor the merge order changes a byte.
 """
 
 from __future__ import annotations
@@ -246,6 +247,33 @@ def _subdivide(rect, members, level, bbox, budget, out):
                 _subdivide((qx0, qy0, qx1, qy1), members[inside], level, bbox, budget, out)
 
 
+def tile_shares(tiles: list[Tile], bbox: np.ndarray, parts: int) -> list[list[Tile]]:
+    """Deal ``tiles`` into ``parts`` shares of about equal estimated cost.
+
+    A tile's estimate is the summed area of its members' boxes clipped to
+    the tile, the pairs it would evaluate with no pixel terminated. Tiles go
+    largest estimate first (ties to the lower tile index), each to the share
+    with the lowest total so far (ties to the lower share), so the largest
+    and smallest totals differ by at most one tile's estimate. Each share
+    keeps the order of ``tiles``.
+    """
+    if parts == 1:
+        return [tiles]
+    estimate = []
+    for tile in tiles:
+        boxes = bbox[tile.members]
+        width = np.minimum(boxes[:, 2], tile.x1) - np.maximum(boxes[:, 0], tile.x0)
+        height = np.minimum(boxes[:, 3], tile.y1) - np.maximum(boxes[:, 1], tile.y0)
+        estimate.append(int(np.dot(width, height)))
+    totals = [0] * parts
+    owner = [0] * len(tiles)
+    for index in sorted(range(len(tiles)), key=lambda i: -estimate[i]):  # stable
+        owner[index] = min(range(parts), key=totals.__getitem__)  # the first lowest
+        totals[owner[index]] += estimate[index]
+    return [[tile for tile, share in zip(tiles, owner) if share == part]
+            for part in range(parts)]
+
+
 def composite_tile(tile: Tile, projected: ProjectedGaussians, scene: GaussianScene,
                    buffers: ImageBuffers, *, background=(0.0, 0.0, 0.0),
                    planes: bool = True) -> TileComposite:
@@ -439,16 +467,17 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
     """Render one camera view, offering each tile's candidates to ``contributions``.
 
     Composites the tiles one after another, in ``tile_scene``'s order.
-    ``share=(part, parts)`` composites only ``tiles[part::parts]``: the
-    buffers and stats then hold those tiles alone, and only part 0 counts
-    the image as rendered. ``planes`` is passed on to ``composite_tile``;
-    without it only ``terminated`` is written.
+    ``share=(part, parts)`` composites only the tiles ``tile_shares`` deals
+    to ``part``: the buffers and stats then hold those tiles alone, and only
+    part 0 counts the image as rendered. ``planes`` is passed on to
+    ``composite_tile``; without it only ``terminated`` is written.
     """
     part, parts = share
     stats = RenderStats(images_rendered=int(part == 0))
     projected = project(scene, pose)
 
-    tiles = tile_scene(projected, pose.width, pose.height, TILE_BUDGET)[part::parts]
+    tiles = tile_scene(projected, pose.width, pose.height, TILE_BUDGET)
+    tiles = tile_shares(tiles, projected.bbox, parts)[part]
     stats.tiles = len(tiles)
     stats.tiles_subdivided = sum(1 for t in tiles if t.level > 0)
     stats.max_tile_product = max((t.product for t in tiles), default=0)
@@ -480,6 +509,12 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
     another renders a last whole view; the full image planes are then not
     composited either. ``save_renders`` renders every view whole, with its
     planes.
+
+    At W >= 2 the workers are forked children and this process renders no
+    view: it logs each view as its last share arrives and merges each
+    worker's reached rows into ``scene.contribution`` as they arrive, so it
+    holds its own state and at most one worker's rows. At one worker, or
+    without ``os.fork``, the views render here, one after another.
     """
     if not poses:
         raise DomainError("rendering requires at least one camera pose")
@@ -511,8 +546,8 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
 
     # Each item composites its tiles serially; map_forked spreads the items
     # over worker processes where it can fork. A forked child offers into its
-    # copy of scene.contribution, still the initial state as map_forked forks
-    # every child before this process renders its first item.
+    # copy of scene.contribution, still the initial state, as map_forked forks
+    # every child before any worker's state is merged here.
     def render_item(item):
         rank, share = item
         buffers, stats = render_image(scene, ordered[rank], config, rank, scene.contribution,
@@ -538,9 +573,8 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
                  elapsed / done * (len(ordered) - done))
 
     # each forked child sends its state once, after its last item
-    for reached in map_forked(render_item, items, config.threads, log_view,
-                              scene.contribution.reached):
-        scene.contribution.offer(*reached)
+    map_forked(render_item, items, config.threads, log_view, scene.contribution.reached,
+               lambda reached: scene.contribution.offer(*reached))
     total = RenderStats(**{f.name: sum(getattr(s, f.name) for s in rendered)
                            for f in fields(RenderStats)})
     total.max_tile_product = max(s.max_tile_product for s in rendered)

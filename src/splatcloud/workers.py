@@ -71,51 +71,44 @@ def map_threads(fn, items, threads: int) -> list:
 
 
 def fork_workers(threads: int, items: int) -> int:
-    """Processes :func:`map_forked` runs ``items`` items on for a ``--threads`` value.
+    """Workers :func:`map_forked` runs ``items`` items on for a ``--threads`` value.
 
-    At most one per item, and only this process where ``os.fork`` is missing
-    or another thread runs, since a forked child gets a copy of every lock
-    but only the calling thread.
+    At most one per item, and 1 where ``os.fork`` is missing or another
+    thread runs, since a forked child gets a copy of every lock but only the
+    calling thread. One worker is this process; 2 or more are forked
+    children, and this process then runs no item.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return max(1, min(resolve_workers(threads), items))
 
 
-def map_forked(fn, items, threads: int, on_result, finish=lambda: None) -> list:
+def map_forked(fn, items, threads: int, on_result, finish=lambda: None,
+               on_finish=lambda payload: None) -> None:
     """``on_result(fn(item))`` for every item, with ``fn`` run in worker processes.
 
-    Uses :func:`fork_workers` workers, and item i goes to worker i % workers.
-    Worker 0 is this process; the others are children forked before it runs
-    its first item, which pickle each result (or the ``Exception`` that
-    stopped them), then ``finish()`` once, back through a pipe; a child
-    stopped by ``SystemExit`` sends nothing and reads as gone. ``on_result``
-    runs here, and the finish values are returned, both in arrival order. A
-    child leaves only through ``os._exit``, so no copied frame runs a
-    ``finally`` or an exit handler there. On any failure the others are
-    killed; every child is reaped before this returns or raises.
+    With one :func:`fork_workers` worker the items run here, one after
+    another, and ``finish`` is not called. With W >= 2 this process forks W
+    children before any item runs, item i goes to child i % W, and it runs
+    no item itself: it only waits on the children. Each child pickles every
+    result (or the ``Exception`` that stopped it), then ``finish()`` once,
+    back through a pipe; a child stopped by ``SystemExit`` sends nothing and
+    reads as gone. ``on_result`` and ``on_finish`` run here, in arrival
+    order, and each finish value is passed to ``on_finish`` as soon as it
+    arrives and dropped when that returns, so this process holds at most
+    one at a time. A child leaves only through ``os._exit``, so no copied
+    frame runs a ``finally`` or an exit handler there. On any failure the
+    others are killed; every child is reaped before this returns or raises.
     """
     items = list(items)
     workers = fork_workers(threads, len(items))
-    pids, pending, finished = [], [], []
-
-    def drain(timeout):
-        for fd in select.select(pending, [], [], timeout)[0]:
-            message = _receive(fd)
-            if message is None:  # gone before its finish()
-                raise RuntimeError("a worker process exited before sending all its results")
-            kind, payload = message
-            if kind == "error":
-                raise payload
-            if kind == "result":
-                on_result(payload)
-            else:  # "finish", the child's last message
-                finished.append(payload)
-                pending.remove(fd)
-                os.close(fd)
-
+    if workers == 1:
+        for item in items:
+            on_result(fn(item))
+        return
+    pids, pending = [], []
     try:
-        for worker in range(1, workers):
+        for worker in range(workers):
             reader, writer = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -124,12 +117,11 @@ def map_forked(fn, items, threads: int, on_result, finish=lambda: None) -> list:
             os.close(writer)
             pids.append(pid)
             pending.append(reader)
-        for item in items[::workers]:
-            on_result(fn(item))
-            drain(0)
         while pending:
-            drain(None)
-        return finished
+            for fd in select.select(pending, [], [])[0]:
+                if _deliver(fd, on_result, on_finish):
+                    pending.remove(fd)
+                    os.close(fd)
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
@@ -139,6 +131,24 @@ def map_forked(fn, items, threads: int, on_result, finish=lambda: None) -> list:
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
+
+
+def _deliver(fd, on_result, on_finish) -> bool:
+    """Pass on a child's next message; True once it was the last, its ``finish()``.
+
+    The message is dropped on return, before the next one is read.
+    """
+    message = _receive(fd)
+    if message is None:  # gone before its finish()
+        raise RuntimeError("a worker process exited before sending all its results")
+    kind, payload = message
+    if kind == "error":
+        raise payload
+    if kind == "result":
+        on_result(payload)
+        return False
+    on_finish(payload)
+    return True
 
 
 def _forked_worker(fn, items, finish, fd):

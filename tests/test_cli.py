@@ -310,10 +310,10 @@ def test_surface_failure_keeps_the_complete_main_cloud(tmp_path, scene_ply, colm
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
-@pytest.mark.parametrize("failing_rank", [0, 1], ids=["parent", "child"])
+@pytest.mark.parametrize("failing_rank", [0, 1], ids=["first", "second"])
 def test_failing_view_worker_is_a_render_error(tmp_path, scene_ply, colmap_dir, monkeypatch,
                                                capsys, forks, failing_rank):
-    # at 2 workers this process renders view 0 and one forked child view 1
+    # at 2 workers the first forked child renders view 0 and the second view 1
     real_render_image = renderer.render_image
 
     def render_image(scene, pose, config, image_rank=0, contributions=None, **options):
@@ -325,7 +325,7 @@ def test_failing_view_worker_is_a_render_error(tmp_path, scene_ply, colmap_dir, 
     out = tmp_path / "cloud.ply"
     assert main([str(scene_ply), str(out), "--cameras", str(colmap_dir),
                  "--num-points", "200", "--threads", "2"]) == 1
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert f"[render] view {failing_rank} cannot be rendered" in capsys.readouterr().err
     assert not out.exists()
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

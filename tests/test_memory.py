@@ -1,7 +1,9 @@
 """Memory guards: loading holds the file and the columns it reads, activation
 holds little beyond the scene it builds, projection a few hundred bytes per
 Gaussian beyond its output, compositing at most 14 bytes per kept pair of a
-tile, sampling its draws and one block (at most twice the output in all) and
+tile, the colour pass's parent its contribution state and one worker's
+rows at a time, sampling its draws and one block (at most twice the output
+in all) and
 writing a small part of it, outlier removal a few tens of bytes per point and
 a fixed number of k-NN rows at any thread count, a row subset little more
 than the rows it keeps, and a point cloud's normals check one block of rows.
@@ -16,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splatcloud.config import SamplerConfig
+from splatcloud.config import RenderConfig, SamplerConfig
 from splatcloud.formats import load_gaussians_ply, write_pointcloud_ply
 from splatcloud.renderer import (
     TILE_BUDGET,
@@ -24,6 +26,7 @@ from splatcloud.renderer import (
     ProjectedGaussians,
     composite_tile,
     project,
+    render_all,
     tile_scene,
 )
 from splatcloud.sampler import SampleBatch, derive_batch_seed, generate_pointcloud, sample_batch
@@ -162,6 +165,44 @@ def test_composite_memory_grows_by_the_kept_pairs():
         slope = (peaks[1600] - peaks[400]) / (kept[1600] - kept[400])
         assert slope <= 16, \
             f"composite (planes={planes}) holds {slope:.1f} bytes per kept pair"
+
+
+def grid_scene(columns, rows):
+    """Small, half-opaque Gaussians 2 pixels apart in the plane of ``grid_poses``."""
+    x, y = np.meshgrid(np.arange(columns), np.arange(rows))
+    n = columns * rows
+    position = np.zeros((n, 3))
+    position[:, 0] = (2 * x.ravel() - columns + 0.5) / 100.0
+    position[:, 1] = (2 * y.ravel() - rows + 0.5) / 100.0
+    return activate(RawGaussians(
+        position=position, log_scale=np.full((n, 3), np.log(1e-3)),
+        rotation=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), logit_opacity=np.zeros(n),
+        sh_dc=np.zeros((n, 3))))
+
+
+def test_colour_pass_parent_holds_its_state_and_one_worker_rows():
+    # at 3 workers each forked child renders one of 3 views that all reach
+    # every Gaussian, and sends its 80 bytes a Gaussian of reached rows.
+    # This process renders nothing and merges each worker's rows as they
+    # arrive: its 72-byte state, one worker's rows and their pickle buffer.
+    # Rendering a view here and holding every payload until the last
+    # arrived peaked at about 380
+    peaks = {}
+    for columns, rows in ((100, 50), (200, 100)):
+        scene = grid_scene(columns, rows)
+        poses = [frontal_pose(i, width=2 * columns + 16, height=2 * rows + 16, focal=500.0)
+                 for i in range(3)]
+        tracemalloc.start()
+        try:
+            render_all(scene, poses, RenderConfig(threads=3))
+            _, peaks[scene.count] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (scene.contribution.best_contribution > 0).all()
+        assert (scene.contribution.best_image_rank == 0).all()  # every view ties
+    slope = (peaks[20_000] - peaks[5_000]) / 15_000
+    assert slope <= 72 + 2 * 80 + 16, \
+        f"the colour pass's parent holds {slope:.0f} bytes per Gaussian"
 
 
 @pytest.mark.parametrize("exact", [True, False])

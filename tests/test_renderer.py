@@ -29,6 +29,7 @@ from splatcloud.renderer import (
     render_all,
     render_image,
     tile_scene,
+    tile_shares,
     write_ppm,
 )
 from splatcloud.scene import ContributionState, GaussianScene, activate, quats_to_rotmats
@@ -781,7 +782,7 @@ def test_worker_processes_match_the_serial_loop(four_views, tmp_path, forks):
         forks.clear()
         config = RenderConfig(threads=workers, save_renders=tmp_path / str(workers))
         stats.append(render_all(scene, poses, config))
-        assert len(forks) == workers - 1
+        assert len(forks) == (workers if workers > 1 else 0)
         assert state_bytes(scene.contribution) == state_bytes(expected_state)
         assert ppm_bytes(config.save_renders) == ppm_bytes(tmp_path / "serial")
     assert stats[0] == stats[1] == stats[2]
@@ -791,7 +792,7 @@ def test_worker_processes_match_the_serial_loop(four_views, tmp_path, forks):
 def test_worker_count_is_capped_by_the_views(four_views, forks):
     scene, poses = four_views
     render_all(scene, poses[:2], RenderConfig(threads=64))
-    assert len(forks) == 1
+    assert len(forks) == 2
 
 
 def test_no_fork_while_another_thread_runs(four_views, tmp_path, forks):
@@ -829,7 +830,7 @@ def test_progress_is_logged_as_each_forked_view_arrives(four_views, caplog, fork
     scene, poses = four_views
     with caplog.at_level("INFO", logger="splatcloud.renderer"):
         render_all(scene, poses, RenderConfig(threads=2))
-    assert len(forks) == 1
+    assert len(forks) == 2
     lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
     assert [line.split(" (")[0] for line in lines] == [
         f"rendered view {i}/4" for i in range(1, 5)]
@@ -859,19 +860,30 @@ def test_leftover_views_are_shared_by_every_worker(five_views, forks, monkeypatc
         calls.append((image_rank, options["share"]))
         return real_render_image(scene, pose, config, image_rank, contributions, **options)
 
+    items = []  # the (rank, share) items render_all deals, item i to worker i % W
+    real_map_forked = renderer.map_forked
+
+    def map_forked_here(fn, work, threads, *callbacks):
+        items[:] = work
+        return real_map_forked(fn, work, threads, *callbacks)
+
     monkeypatch.setattr(renderer, "render_image", render_image_here)
-    # 0, 1, 2 and 1 views left over: this process, worker 0, renders views
-    # 0, W, ... whole, then part 0 of the first view left over
+    monkeypatch.setattr(renderer, "map_forked", map_forked_here)
+    # 0, 1, 2 and 1 views left over: worker 0 renders views 0, W, ... whole,
+    # then part 0 of the first view left over. One worker is this process;
+    # two or more are forked children, and this process renders none
     whole = (0, 1)
-    here = {1: [(rank, whole) for rank in range(5)],
-            2: [(0, whole), (2, whole), (4, (0, 2))],
-            3: [(0, whole), (3, (0, 2))],  # view 3 in two parts, view 4 in one
-            4: [(0, whole), (4, (0, 4))]}
+    first = {1: [(rank, whole) for rank in range(5)],
+             2: [(0, whole), (2, whole), (4, (0, 2))],
+             3: [(0, whole), (3, (0, 2))],  # view 3 in two parts, view 4 in one
+             4: [(0, whole), (4, (0, 4))]}
+    here = {1: first[1], 2: [], 3: [], 4: []}
     for workers in (1, 2, 3, 4):
         forks.clear()
         calls.clear()
         stats = render_all(scene, poses, RenderConfig(threads=workers))
-        assert len(forks) == workers - 1
+        assert len(forks) == (workers if workers > 1 else 0)
+        assert items[::workers] == first[workers]
         assert calls == here[workers]
         assert state_bytes(scene.contribution) == state_bytes(expected_state)
         assert stats == expected_stats
@@ -883,15 +895,28 @@ def test_a_share_composites_only_its_own_tiles(five_views):
     pose, config = poses[0], RenderConfig(threads=1)
     whole_state = ContributionState.initial(scene.count)
     whole, whole_stats = render_image(scene, pose, config, 0, whole_state, planes=False)
-    tiles = tile_scene(project(scene, pose), pose.width, pose.height, renderer.TILE_BUDGET)
+    projected = project(scene, pose)
+    tiles = tile_scene(projected, pose.width, pose.height, renderer.TILE_BUDGET)
     assert len(tiles) > 3
+
+    def estimate(tile):  # its members' box areas, clipped to the tile
+        return sum(max(0, min(x1, tile.x1) - max(x0, tile.x0))
+                   * max(0, min(y1, tile.y1) - max(y0, tile.y0))
+                   for x0, y0, x1, y1 in projected.bbox[tile.members].tolist())
+
+    dealt = tile_shares(tiles, projected.bbox, 3)
+    position = {(t.x0, t.y0, t.x1, t.y1): i for i, t in enumerate(tiles)}
+    held = [[position[t.x0, t.y0, t.x1, t.y1] for t in own] for own in dealt]
+    assert sorted(sum(held, [])) == list(range(len(tiles)))  # disjoint, and every tile
+    assert all(indices == sorted(indices) for indices in held)  # in tile_scene's order
+    totals = [sum(estimate(t) for t in own) for own in dealt]
+    assert max(totals) - min(totals) <= max(estimate(t) for t in tiles)
 
     shared_state = ContributionState.initial(scene.count)
     shares = [render_image(scene, pose, config, 0, shared_state, planes=False, share=(k, 3))
               for k in range(3)]
     assert [stats.images_rendered for _, stats in shares] == [1, 0, 0]
-    for k, (buffers, stats) in enumerate(shares):
-        own = tiles[k::3]
+    for own, (buffers, stats) in zip(dealt, shares):
         assert stats.tiles == len(own)
         assert stats.tiles_subdivided == sum(1 for t in own if t.level > 0)
         assert stats.max_tile_product == max(t.product for t in own)
@@ -912,17 +937,17 @@ def test_a_shared_view_is_logged_once_its_last_share_arrives(five_views, caplog,
     arrivals = []  # per result this process receives: its view, and whether it logged
     real_map_forked = renderer.map_forked
 
-    def map_forked_here(fn, items, threads, on_result, finish):
+    def map_forked_here(fn, items, threads, on_result, finish, on_finish):
         def receive(result):
             before = len(caplog.records)
             on_result(result)
             arrivals.append((result[0], len(caplog.records) > before))
-        return real_map_forked(fn, items, threads, receive, finish)
+        return real_map_forked(fn, items, threads, receive, finish, on_finish)
 
     monkeypatch.setattr(renderer, "map_forked", map_forked_here)
     with caplog.at_level("INFO", logger="splatcloud.renderer"):
         render_all(scene, poses, RenderConfig(threads=3))  # view 3 in two parts, view 4 in one
-    assert len(forks) == 2
+    assert len(forks) == 3
     lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
     assert [line.split(" (")[0] for line in lines] == [
         f"rendered view {i}/5" for i in range(1, 6)]

@@ -23,8 +23,9 @@ def test_auto_threads_follow_the_cpu_affinity(monkeypatch):
 
 
 def test_map_forked_is_capped_by_the_items(forks):
-    # (threads, items, children forked): this process is always one worker
-    for threads, items, forked in ((64, 3, 2), (2, 5, 1), (8, 1, 0), (1, 5, 0), (2, 0, 0)):
+    # (threads, items, children forked): one worker is this process, and two
+    # or more are forked children
+    for threads, items, forked in ((64, 3, 3), (2, 5, 2), (8, 1, 0), (1, 5, 0), (2, 0, 0)):
         forks.clear()
         got = []
         map_forked(lambda i: i, range(items), threads, got.append)
@@ -34,15 +35,15 @@ def test_map_forked_is_capped_by_the_items(forks):
 
 
 def test_map_forked_deals_items_round_robin(forks):
-    got = {}
-    finished = map_forked(lambda i: (i, os.getpid()), range(7), 3, lambda r: got.update([r]),
-                          os.getpid)
+    got, finished = {}, []
+    map_forked(lambda i: (i, os.getpid()), range(7), 3, lambda r: got.update([r]),
+               os.getpid, finished.append)
     assert sorted(got) == list(range(7))
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert sorted(finished) == sorted(forks)  # one finish() from each child
-    assert {got[i] for i in (0, 3, 6)} == {os.getpid()}
-    assert {got[i] for i in (1, 4)} == {forks[0]}
-    assert {got[i] for i in (2, 5)} == {forks[1]}
+    assert {got[i] for i in (0, 3, 6)} == {forks[0]}
+    assert {got[i] for i in (1, 4)} == {forks[1]}
+    assert {got[i] for i in (2, 5)} == {forks[2]}
     assert_no_child_left()
 
 
@@ -88,17 +89,20 @@ def test_a_child_that_raises_system_exit_leaves_without_sending_it():
 
 def test_a_child_never_waits_on_this_process_mid_pass():
     # finish() is larger than any pipe an unprivileged process can ask for
-    # (1 MB by default), and this process's items run longer than the child's
+    # (1 MB by default), and the first worker's items run longer than the
+    # second's: the second's finish() is passed on while the first still works
     payload = os.urandom(3 << 20)
-    ended = {}
+    ended, finished = {}, []
 
     def fn(i):
         time.sleep(0.15 if i % 2 == 0 else 0.01)
         return i, time.monotonic()
 
-    finished = map_forked(fn, range(6), 2, lambda r: ended.update([r]), lambda: payload)
-    assert finished == [payload]
+    map_forked(fn, range(6), 2, lambda r: ended.update([r]), lambda: payload,
+               lambda p: finished.append((p, time.monotonic())))
+    assert [p for p, _ in finished] == [payload, payload]
     assert max(ended[i] for i in (1, 3, 5)) < max(ended[i] for i in (0, 2, 4))
+    assert finished[0][1] < max(ended[i] for i in (0, 2, 4))
     assert_no_child_left()
 
 
