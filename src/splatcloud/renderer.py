@@ -490,7 +490,7 @@ def render_image(scene: GaussianScene, pose: CameraPose, config: RenderConfig,
         stats.pairs_evaluated += piece.pairs_evaluated
         if contributions is not None and len(piece.rows):
             contributions.offer(projected.gaussian_index[piece.rows], piece.values, piece.colours,
-                                image_rank, piece.pixel_index, pose.camera_centre)
+                                (image_rank << 32) + piece.pixel_index)
     stats.pixels_terminated = int(np.count_nonzero(buffers.terminated))
     return buffers, stats
 
@@ -499,7 +499,8 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
                config: RenderConfig) -> RenderStats:
     """Render every pose and leave the per-Gaussian best colours in the scene.
 
-    Replaces ``scene.contribution`` with the state of this pass.
+    Replaces ``scene.contribution`` with the state of this pass, whose
+    ``views`` are the poses in the order below, each rendered at its rank.
 
     Poses are processed in a deterministic order (stable sort by image_id);
     ``skip_cameras=k`` with k >= 2 drops every k-th pose from that order.
@@ -526,7 +527,7 @@ def render_all(scene: GaussianScene, poses: list[CameraPose],
     if config.render_scale != 1.0:
         ordered = [p.scaled(config.render_scale) for p in ordered]
 
-    scene.contribution = ContributionState.initial(scene.count, config.background)
+    scene.contribution = ContributionState.initial(scene.count, config.background, ordered)
 
     planes = config.save_renders is not None
     if planes:

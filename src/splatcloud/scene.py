@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import FilterConfig
 from .errors import DomainError
-from .types import RawGaussians, take_rows
+from .types import CameraPose, RawGaussians, take_rows
 
 log = logging.getLogger(__name__)
 
@@ -137,67 +137,58 @@ def _regularised_covariances(log_scale: np.ndarray, rotation_unit: np.ndarray):
     return out, ok
 
 
+UNSEEN_KEY = np.iinfo(np.int64).max  # best_key until an offer wins, above every real key
+
+
 @dataclass
 class ContributionState:
     """Per-Gaussian running maximum of rendering contribution.
 
     ``render_all`` creates one per colour pass. ``best_colour`` starts at the
     background colour and is replaced by the colour of the pixel with the
-    largest contribution seen so far. The auxiliary image-rank / pixel-index /
-    camera-centre columns make the update a total order, so merges commute
-    (any tile order, and any merge order of the forked workers' states, gives
-    the same state) and record which camera saw each Gaussian best.
+    largest contribution seen so far. ``best_key``, that pixel's image rank x
+    2^32 + row-major pixel index (``CameraPose`` caps each side at 65535
+    pixels), makes the update a total order, so merges commute (any tile
+    order, and any merge order of the forked workers' states, gives the same
+    state); its rank indexes ``views``, the ordered poses of the pass, which
+    ``take`` shares whole as they are a tuple.
     """
 
     best_contribution: np.ndarray
     best_colour: np.ndarray
-    best_image_rank: np.ndarray
-    best_pixel_index: np.ndarray
-    best_camera_centre: np.ndarray
+    best_key: np.ndarray
+    views: tuple[CameraPose, ...]
 
     @classmethod
-    def initial(cls, count: int, background=(0.0, 0.0, 0.0)) -> "ContributionState":
+    def initial(cls, count: int, background=(0.0, 0.0, 0.0), views=()) -> "ContributionState":
         background = np.asarray(background, dtype=np.float64)
         return cls(
             best_contribution=np.zeros(count),
             best_colour=np.tile(background, (count, 1)),
-            best_image_rank=np.full(count, np.iinfo(np.int64).max, dtype=np.int64),
-            best_pixel_index=np.full(count, np.iinfo(np.int64).max, dtype=np.int64),
-            best_camera_centre=np.full((count, 3), np.nan),
+            best_key=np.full(count, UNSEEN_KEY, dtype=np.int64),
+            views=tuple(views),
         )
 
-    def offer(self, gaussians, values, colours, image_rank, pixel_index, camera_centre):
-        """Merge per-pixel contribution candidates (one row per Gaussian).
+    def offer(self, gaussians, values, colours, key):
+        """Merge contribution candidates, one row per Gaussian.
 
         A candidate wins on strictly larger contribution; exact ties go to
-        the lower image rank, then the lower row-major pixel index, which
-        reproduces first-seen-wins under the fixed iteration order.
-        ``image_rank`` and ``camera_centre`` are one view's, or one per row.
+        the lower key, that is the lower image rank, then the lower pixel
+        index, which reproduces first-seen-wins under the fixed iteration
+        order.
         """
-        gaussians = np.asarray(gaussians)
-        image_rank = np.broadcast_to(image_rank, gaussians.shape)
-        camera_centre = np.broadcast_to(camera_centre, gaussians.shape + (3,))
         current = self.best_contribution[gaussians]
-        better = values > current
-        tie = values == current
-        if np.any(tie):
-            rank_now = self.best_image_rank[gaussians]
-            pix_now = self.best_pixel_index[gaussians]
-            better |= tie & ((image_rank < rank_now)
-                             | ((image_rank == rank_now) & (pixel_index < pix_now)))
+        better = (values > current) | ((values == current) & (key < self.best_key[gaussians]))
         win = gaussians[better]
         self.best_contribution[win] = values[better]
         self.best_colour[win] = colours[better]
-        self.best_image_rank[win] = image_rank[better]
-        self.best_pixel_index[win] = pixel_index[better]
-        self.best_camera_centre[win] = camera_centre[better]
+        self.best_key[win] = key[better]
 
     def reached(self):
-        """The rows some offer won, as ``offer`` arguments: ``other.offer(*state.reached())``."""
+        """The rows some offer won, 48 bytes each, as ``offer`` arguments:
+        ``other.offer(*state.reached())``."""
         rows = np.flatnonzero(self.best_contribution > 0.0)
-        return (rows, self.best_contribution[rows], self.best_colour[rows],
-                self.best_image_rank[rows], self.best_pixel_index[rows],
-                self.best_camera_centre[rows])
+        return rows, self.best_contribution[rows], self.best_colour[rows], self.best_key[rows]
 
 
 @dataclass

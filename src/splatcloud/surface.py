@@ -15,7 +15,7 @@ import numpy as np
 from .config import SurfaceConfig
 from .errors import DomainError
 from .sampler import SampleStats, _sample_scene
-from .scene import GaussianScene, dot3, quats_to_rotmats
+from .scene import UNSEEN_KEY, GaussianScene, dot3, quats_to_rotmats
 from .types import PointCloud
 from .workers import map_threads, thread_workers
 
@@ -56,19 +56,20 @@ def select_surface(scene: GaussianScene) -> SurfaceSelection:
 def surface_normals(scene: GaussianScene) -> np.ndarray:
     """Unit normal per Gaussian: the rotated axis of the smallest scale.
 
-    The sign is chosen so the normal points towards the camera centre that
-    recorded the Gaussian's best contribution (non-negative dot product with
-    centre - mean). Gaussians never seen by a camera keep the unflipped axis.
+    The sign is chosen so the normal points towards the centre of the view
+    that recorded the Gaussian's best contribution, ``views[best_key >> 32]``
+    (non-negative dot product with centre - mean). Gaussians never seen by a
+    camera keep the unflipped axis.
     """
     rot = quats_to_rotmats(scene.rotation_unit)
     smallest = np.argmin(scene.log_scale, axis=1)
     normals = np.take_along_axis(rot, smallest[:, None, None], axis=2)[:, :, 0]
 
-    centres = scene.contribution.best_camera_centre
-    seen = np.isfinite(centres).all(axis=1)
-    towards = centres - scene.position
-    flip = seen & (dot3(normals, towards) < 0.0)
-    normals[flip] *= -1.0
+    state = scene.contribution
+    seen = np.flatnonzero(state.best_key != UNSEEN_KEY)
+    centres = np.array([view.camera_centre for view in state.views])
+    towards = centres[state.best_key[seen] >> 32] - scene.position[seen]
+    normals[seen[dot3(normals[seen], towards) < 0.0]] *= -1.0
     return normals
 
 

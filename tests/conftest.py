@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 from splatcloud.errors import DomainError
 from splatcloud.sampler import quantize_colours
-from splatcloud.scene import SH_C0, activate, sigmoid
+from splatcloud.scene import SH_C0, ContributionState, activate, sigmoid
 from splatcloud.types import CameraPose, RawGaussians
 
 try:
@@ -100,6 +100,32 @@ def orbit_pose(image_id, angle, width=64, height=64, focal=60.0, distance=5.0) -
         fx=focal, fy=focal, cx=width / 2.0, cy=height / 2.0,
         world_to_camera=world_to_camera,
     )
+
+
+def state_bytes(state: ContributionState) -> list[bytes]:
+    """The bytes of every per-Gaussian column of a contribution state."""
+    return [getattr(state, f.name).tobytes() for f in fields(state)
+            if isinstance(getattr(state, f.name), np.ndarray)]
+
+
+def seen_from(count, centres) -> ContributionState:
+    """A state whose row i was seen best by a camera centred at ``centres[i]``.
+
+    One pose per distinct centre c (R = I, t = -c, so its ``camera_centre``
+    is c), stored as the state's ``views``; each row's key holds the rank of
+    its pose and pixel 0. Contributions stay 0 for the caller to set.
+    """
+    centres = np.broadcast_to(np.asarray(centres, dtype=np.float64), (count, 3))
+    distinct, rank = np.unique(centres, axis=0, return_inverse=True)
+    views = []
+    for image_id, centre in enumerate(distinct):
+        world_to_camera = np.eye(4)
+        world_to_camera[:3, 3] = -centre
+        views.append(CameraPose(image_id=image_id, width=2, height=2, fx=1.0, fy=1.0,
+                                cx=1.0, cy=1.0, world_to_camera=world_to_camera))
+    state = ContributionState.initial(count, views=views)
+    state.best_key[:] = rank.reshape(-1).astype(np.int64) << 32
+    return state
 
 
 # ---------------------------------------------------------------------------

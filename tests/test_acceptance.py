@@ -109,7 +109,7 @@ def test_02_tiled_equals_bruteforce(monkeypatch):
 
             np.testing.assert_allclose(buffers.image, image, atol=1e-6)
             for gaussian, (value, pixel, colour) in best.items():
-                assert state.best_pixel_index[gaussian] == pixel, \
+                assert state.best_key[gaussian] % 2**32 == pixel, \
                     f"scene {index}: argmax pixel differs for gaussian {gaussian}"
                 np.testing.assert_allclose(state.best_colour[gaussian], colour,
                                            atol=1e-6)
@@ -160,11 +160,11 @@ def test_03_colour_reassignment_under_occlusion():
         for gaussian in range(len(front), scene.count):
             value, pixel, colour = merged[gaussian]
             # exact agreement with the brute-force per-pixel oracle
-            assert state.best_pixel_index[gaussian] == pixel
+            assert state.best_key[gaussian] % 2**32 == pixel
             assert state.best_contribution[gaussian] == pytest.approx(value, rel=1e-9)
             np.testing.assert_allclose(state.best_colour[gaussian], colour, atol=1e-9)
             # the recorded colour is the implementation's own rendered pixel
-            y, x = divmod(int(state.best_pixel_index[gaussian]), pose.width)
+            y, x = divmod(int(state.best_key[gaussian] % 2**32), pose.width)
             np.testing.assert_array_equal(state.best_colour[gaussian],
                                           buffers.image[y, x])
             # and that pixel colour is the (front-dominated) surface colour

@@ -182,9 +182,9 @@ def grid_scene(columns, rows):
 
 def test_colour_pass_parent_holds_its_state_and_one_worker_rows():
     # at 3 workers each forked child renders one of 3 views that all reach
-    # every Gaussian, and sends its 80 bytes a Gaussian of reached rows.
+    # every Gaussian, and sends its 48 bytes a Gaussian of reached rows.
     # This process renders nothing and merges each worker's rows as they
-    # arrive: its 72-byte state, one worker's rows and their pickle buffer.
+    # arrive: its 40-byte state, one worker's rows and their pickle buffer.
     # Rendering a view here and holding every payload until the last
     # arrived peaked at about 380
     peaks = {}
@@ -199,9 +199,9 @@ def test_colour_pass_parent_holds_its_state_and_one_worker_rows():
         finally:
             tracemalloc.stop()
         assert (scene.contribution.best_contribution > 0).all()
-        assert (scene.contribution.best_image_rank == 0).all()  # every view ties
+        assert (scene.contribution.best_key >> 32 == 0).all()  # every view ties
     slope = (peaks[20_000] - peaks[5_000]) / 15_000
-    assert slope <= 72 + 2 * 80 + 16, \
+    assert slope <= 40 + 2 * 48 + 16, \
         f"the colour pass's parent holds {slope:.0f} bytes per Gaussian"
 
 

@@ -42,6 +42,7 @@ from conftest import (
     orbit_pose,
     random_records,
     random_scene,
+    state_bytes,
 )
 
 
@@ -408,7 +409,7 @@ def assert_matches_reference(scene, pose, config=None, atol=1e-9):
     np.testing.assert_array_equal(buffers.terminated, terminated)
 
     for gaussian, (value, pixel, colour) in best.items():
-        assert state.best_pixel_index[gaussian] == pixel
+        assert state.best_key[gaussian] % 2**32 == pixel
         assert state.best_contribution[gaussian] == pytest.approx(value, rel=1e-9)
         np.testing.assert_allclose(state.best_colour[gaussian], colour, atol=atol)
     unseen = np.setdiff1d(np.arange(scene.count), list(best))
@@ -455,10 +456,7 @@ def test_pair_chunking_is_exact_and_drops_terminated_pixels(rng, monkeypatch):
     for chunk_pairs in (1, 509, renderer._CHUNK_PAIRS):
         monkeypatch.setattr(renderer, "_CHUNK_PAIRS", chunk_pairs)
         buffers, stats = assert_matches_reference(scene, pose)
-        state = scene.contribution
-        runs.append((buffers, [column.copy() for column in (
-            state.best_contribution, state.best_colour, state.best_image_rank,
-            state.best_pixel_index, state.best_camera_centre)], stats))
+        runs.append((buffers, state_bytes(scene.contribution), stats))
 
     buffers, columns, stats = runs[0]
     assert stats.pixels_terminated == np.count_nonzero(buffers.terminated) > 0
@@ -470,8 +468,7 @@ def test_pair_chunking_is_exact_and_drops_terminated_pixels(rng, monkeypatch):
     for other, other_columns, _ in runs[1:]:
         for plane in ("image", "t_final", "weight_sum", "terminated"):
             assert getattr(buffers, plane).tobytes() == getattr(other, plane).tobytes()
-        for column, other_column in zip(columns, other_columns):
-            assert column.tobytes() == other_column.tobytes()
+        assert other_columns == columns
 
 
 def test_deep_pixels_and_dead_members_composite_exactly(monkeypatch):
@@ -636,7 +633,7 @@ def test_subdivided_equals_giant_tile(rng, monkeypatch):
     monkeypatch.setattr(renderer, "TILE_BUDGET", 700)
     buffers_a, stats_a = render_image(scene, pose, RenderConfig(threads=1), 0, state_a)
     assert stats_a.tiles_subdivided > 0
-    best_a = (state_a.best_contribution.copy(), state_a.best_pixel_index.copy(),
+    best_a = (state_a.best_contribution.copy(), state_a.best_key.copy(),
               state_a.best_colour.copy())
 
     state_b = ContributionState.initial(scene.count, (0, 0, 0))
@@ -646,7 +643,7 @@ def test_subdivided_equals_giant_tile(rng, monkeypatch):
     assert stats_b.tiles == 1
 
     assert buffers_a.image.tobytes() == buffers_b.image.tobytes()
-    np.testing.assert_array_equal(best_a[1], state_b.best_pixel_index)
+    np.testing.assert_array_equal(best_a[1], state_b.best_key)
     assert best_a[0].tobytes() == state_b.best_contribution.tobytes()
     assert best_a[2].tobytes() == state_b.best_colour.tobytes()
 
@@ -661,7 +658,7 @@ def test_rendering_deterministic_across_threads(rng, monkeypatch):
         render_all(scene, poses, RenderConfig(threads=threads))
         state = scene.contribution
         return (state.best_contribution.copy(), state.best_colour.copy(),
-                state.best_pixel_index.copy())
+                state.best_key.copy())
 
     one = run(1)
     four = run(4)
@@ -746,12 +743,6 @@ def test_save_renders_writes_ppm(rng, tmp_path):
 
 # ---------------------------------------------------------------------------
 # render_all in forked worker processes
-
-
-def state_bytes(state: ContributionState) -> list[bytes]:
-    return [column.tobytes() for column in (
-        state.best_contribution, state.best_colour, state.best_image_rank,
-        state.best_pixel_index, state.best_camera_centre)]
 
 
 def ppm_bytes(directory) -> dict[str, bytes]:

@@ -19,7 +19,7 @@ from splatcloud.scene import (
 )
 from splatcloud.types import RawGaussians
 
-from conftest import concat, random_records, random_scene
+from conftest import concat, random_records, random_scene, state_bytes
 
 
 def make_record(**overrides) -> RawGaussians:
@@ -285,28 +285,33 @@ def test_cull_everything_is_error(rng):
 # contribution merge
 
 
-def state_bytes(state: ContributionState) -> list[bytes]:
-    return [column.tobytes() for column in (
-        state.best_contribution, state.best_colour, state.best_image_rank,
-        state.best_pixel_index, state.best_camera_centre)]
-
-
 def test_merging_states_is_a_total_order():
     rng = np.random.default_rng(24)
-    count = 40
+    count = 43
+    last = 65535 * 65535 - 1  # the largest pixel index a pose allows
+    # Rows 40 to 42 take only candidates of one value at the key's limits:
+    # row 40 at (rank 0, pixel last) and (rank 1, pixel 0); rows 41 and 42
+    # at pixels last and 0 of one view, the higher pixel offered first for
+    # row 41 and second for row 42
+    limits = {(0, 0): (40, last), (1, 0): (40, 0), (2, 0): (41, last), (2, 1): (41, 0),
+              (3, 0): (42, 0), (3, 1): (42, last)}
     views = []  # per view: two tiles' candidates, as render_image offers them
     for rank in range(6):
-        centre = rng.normal(size=3)
         tiles = []
-        for pixels in (np.arange(0, 50), np.arange(50, 100)):
-            gaussians = rng.choice(np.arange(1, count), 20, replace=False)
+        for part, pixels in enumerate((np.arange(0, 50), np.arange(50, 100))):
+            gaussians = rng.choice(np.arange(1, 40), 20, replace=False)
             values = rng.choice([0.25, 0.5, 0.75], 20)  # exact ties within and across views
-            if rank < 2 and pixels[0] == 0:
+            if rank < 2 and part == 0:
                 # Gaussian 0 ties exactly in views 0 and 1, so the lower rank
                 # arrives second in one of the merge orders below
                 gaussians[-1], values[-1] = 0, 0.9
-            tiles.append((gaussians, values, rng.uniform(0.0, 1.0, (20, 3)), rank,
-                          rng.choice(pixels, 20), centre))
+            colours = rng.uniform(0.0, 1.0, (20, 3))
+            pixel = rng.choice(pixels, 20)
+            if (rank, part) in limits:
+                row, at = limits[rank, part]
+                gaussians, values = np.append(gaussians, row), np.append(values, 0.5)
+                colours, pixel = np.append(colours, [[0.5, 0.5, 0.5]], axis=0), np.append(pixel, at)
+            tiles.append((gaussians, values, colours, (rank << 32) + pixel))
         views.append(tiles)
 
     def offered(ranks):
@@ -317,7 +322,8 @@ def test_merging_states_is_a_total_order():
         return state
 
     expected = offered(range(6))
-    assert expected.best_image_rank[0] == 0
+    assert expected.best_key[0] >> 32 == 0
+    assert expected.best_key[40:].tolist() == [last, 2 << 32, 3 << 32]
     for first, second in (((1, 3, 5), (0, 2, 4)), ((0, 2, 4), (1, 3, 5))):
         merged = offered(first)
         merged.offer(*offered(second).reached())

@@ -17,7 +17,7 @@ from splatcloud.errors import DomainError
 from splatcloud import surface
 from splatcloud.renderer import project, render_all
 from splatcloud.sampler import SampleBatch  # noqa: F401  (re-exported surface input)
-from splatcloud.scene import ContributionState, activate, quats_to_rotmats
+from splatcloud.scene import activate, quats_to_rotmats
 from splatcloud.surface import (
     export_surface_cloud,
     remove_statistical_outliers,
@@ -26,13 +26,12 @@ from splatcloud.surface import (
 )
 from splatcloud.types import PointCloud, RawGaussians
 
-from conftest import concat, frontal_pose, random_scene
+from conftest import concat, frontal_pose, random_scene, seen_from
 
 
 def rendered_scene(rng, n=4):
     scene = random_scene(rng, n)
-    scene.contribution = ContributionState.initial(scene.count)
-    scene.contribution.best_camera_centre[:] = [0.0, 0.0, -5.0]
+    scene.contribution = seen_from(scene.count, [0.0, 0.0, -5.0])
     return scene
 
 
@@ -90,9 +89,8 @@ def scene_with(log_scale, rotation, camera_centre=(0.0, 0.0, -5.0)):
         logit_opacity=2.0,
         sh_dc=np.zeros(3),
     ))
-    scene.contribution = ContributionState.initial(scene.count)
+    scene.contribution = seen_from(scene.count, camera_centre)
     scene.contribution.best_contribution[:] = 1.0
-    scene.contribution.best_camera_centre[:] = camera_centre
     return scene
 
 
@@ -121,10 +119,11 @@ def test_normal_rotated_axis():
 
 
 def test_normals_unit_and_towards_camera(rng):
-    scene = rendered_scene(rng, 50)
-    scene.contribution.best_contribution[:] = rng.uniform(0.1, 1.0, 50)
+    scene = random_scene(rng, 50)
+    contributions = rng.uniform(0.1, 1.0, 50)
     centres = rng.uniform(-8, 8, (50, 3))
-    scene.contribution.best_camera_centre[:] = centres
+    scene.contribution = seen_from(50, centres)
+    scene.contribution.best_contribution[:] = contributions
     normals = surface_normals(scene)
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
     dots = np.einsum("nj,nj->n", normals, centres - scene.position)
@@ -142,9 +141,8 @@ def test_orientation_sum_keeps_its_order(rng):
         sh_dc=np.zeros((n, 3))))
     axis = quats_to_rotmats(scene.rotation_unit)[:, :, 2]
     centres = np.stack([1e16 / axis[:, 0], -1e16 / axis[:, 1], -1.0 / axis[:, 2]], axis=1)
-    scene.contribution = ContributionState.initial(n)
+    scene.contribution = seen_from(n, centres)
     scene.contribution.best_contribution[:] = 1.0
-    scene.contribution.best_camera_centre[:] = centres
     products = (axis * centres).tolist()
     expected = [sum3_reference(*row) < 0.0 for row in products]
     left_to_right = [(p0 + p1) + p2 < 0.0 for p0, p1, p2 in products]
@@ -333,8 +331,7 @@ def test_occluded_layer_absent(rng):
 def test_every_surface_point_carries_its_gaussians_normal(monkeypatch, threads):
     rng = np.random.default_rng(909)
     scene = random_scene(rng, 300, log_scale_range=(-5.0, 0.5))
-    scene.contribution = ContributionState.initial(scene.count)
-    scene.contribution.best_camera_centre[:] = [0.0, 0.0, -5.0]
+    scene.contribution = seen_from(scene.count, [0.0, 0.0, -5.0])
     scene.contribution.best_contribution[:] = rng.uniform(0.0, 1.0, scene.count)
     monkeypatch.setattr(surface, "remove_statistical_outliers", lambda cloud, *_, **__: cloud)
     config = SurfaceConfig(sigma=1.0, max_resample_rounds=1, seed=8, threads=threads,

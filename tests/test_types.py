@@ -112,8 +112,7 @@ def _table(kind: str):
         if kind == "scene+contribution":
             scene.contribution = ContributionState(
                 best_contribution=rng.random(n), best_colour=rng.random((n, 3)),
-                best_image_rank=rng.integers(0, 9, n), best_pixel_index=rng.integers(0, 99, n),
-                best_camera_centre=rng.random((n, 3)))
+                best_key=rng.integers(0, 9 << 32, n), views=(make_pose(), make_pose(image_id=1)))
         return scene
     normals = rng.standard_normal((n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
@@ -139,9 +138,11 @@ def _columns(table, prefix=""):
 def test_take_carries_every_column(kind, selector):
     table = _table(kind)
     columns = dict(_columns(table))
+    views = columns.pop("contribution.views", None)
     assert all(value is None or isinstance(value, np.ndarray) for value in columns.values())
-    assert ("contribution.best_camera_centre" in columns) == (kind == "scene+contribution")
+    assert ("contribution.best_key" in columns) == (kind == "scene+contribution")
     subset = dict(_columns(table.take(selector)))
+    assert subset.pop("contribution.views", None) is views  # shared whole, not subset
     assert subset.keys() == columns.keys()
     for name, value in columns.items():
         if value is None:
