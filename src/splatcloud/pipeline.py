@@ -27,6 +27,8 @@ class PipelineStats:
     """Machine-readable run report (see --stats-json)."""
 
     gaussians_loaded: int = 0
+    gaussians_invalid: int = 0  # rows the loader dropped, not counted in gaussians_loaded
+    gaussians_after_activate: int = 0
     gaussians_after_filters: int = 0
     gaussians_after_cull: int = 0
     cameras: int = 0
@@ -54,6 +56,21 @@ class PipelineStats:
             "output": self.output,
             "surface_output": self.surface_output,
             "timings_seconds": self.timings_seconds,
+            "dropped": self._dropped(),
+        }
+
+    def _dropped(self) -> dict:
+        """Rows each stage dropped, and why; ``None`` for a stage that did not run."""
+        surface = self.surface_points
+        return {
+            "invalid_at_load": self.gaussians_invalid,
+            "degenerate_at_activate": self.gaussians_loaded - self.gaussians_after_activate,
+            "filtered": self.gaussians_after_activate - self.gaussians_after_filters,
+            "culled": self.gaussians_after_filters - self.gaussians_after_cull,
+            "rejected_draws": None if self.points is None else self.points.rejected,
+            "surface_rejected_draws": None if surface is None else surface.rejected,
+            "outliers_removed": None if surface is None
+            else surface.emitted - self.surface_points_after_cleanup,
         }
 
 
@@ -188,7 +205,7 @@ def run(config: PipelineConfig) -> PipelineStats:
 
     try:
         raw = clock.run("load-gaussians", lambda: _load_gaussians(Path(config.input_gaussians)))
-        stats.gaussians_loaded = len(raw)
+        stats.gaussians_loaded, stats.gaussians_invalid = len(raw), raw.invalid_dropped
         log.info("loaded %d gaussians from %s", len(raw), config.input_gaussians)
 
         poses = []
@@ -202,6 +219,7 @@ def run(config: PipelineConfig) -> PipelineStats:
 
         scene = clock.run("activate", lambda: activate(raw))
         del raw  # the scene keeps what it needs; free the other columns before sampling
+        stats.gaussians_after_activate = scene.count
 
         if config.filters_enabled():
             scene = clock.run("filter", lambda s=scene: filter_scene(s, config))

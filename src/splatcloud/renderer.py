@@ -43,8 +43,8 @@ from .config import RenderConfig
 from .errors import DomainError
 from .formats import atomic_write
 from .sampler import quantize_colours
-from .scene import ContributionState, GaussianScene, dot3
-from .types import CameraPose
+from .scene import ContributionState, GaussianScene
+from .types import CameraPose, dot3
 from .workers import fork_workers, map_forked
 
 log = logging.getLogger(__name__)

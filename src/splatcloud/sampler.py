@@ -14,8 +14,8 @@ import numpy as np
 
 from .config import SamplerConfig
 from .errors import DomainError
-from .scene import GaussianScene, cholesky3, dot3
-from .types import PointCloud
+from .scene import GaussianScene, cholesky3
+from .types import PointCloud, dot3
 from .workers import map_threads
 
 log = logging.getLogger(__name__)

@@ -81,17 +81,6 @@ def cholesky3(cov: np.ndarray):
     return L, ok
 
 
-def dot3(a, b):
-    """``sum_j a[..., j] * b[..., j]`` over a last axis of 3, as ``(j0 + j2) + j1``.
-
-    The order is written out rather than left to a numpy summation kernel,
-    whose order depends on its SIMD build. It matches what numpy 2.4's
-    ``einsum`` gave on x86-64 for the sums it replaced, so their outputs kept
-    their bytes.
-    """
-    return (a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]
-
-
 def rotate_diagonal(rot, diagonal):
     """``R diag(d) R^T`` for (N, 3, 3) ``rot`` and (N, 3) ``diagonal``.
 

@@ -14,18 +14,21 @@ import numpy as np
 
 from .config import SurfaceConfig
 from .errors import DomainError
-from .sampler import SampleStats, _sample_scene
-from .scene import UNSEEN_KEY, GaussianScene, dot3, quats_to_rotmats
-from .types import PointCloud
+from .sampler import SampleStats, _sample_scene, quantize_colours
+from .scene import UNSEEN_KEY, GaussianScene, quats_to_rotmats
+from .types import PointCloud, dot3
 from .workers import map_threads, thread_workers
 
 log = logging.getLogger(__name__)
 
-# k-NN result rows outlier removal holds at once, over all its threads: each
-# takes blocks of SOR_BLOCK_ROWS // threads rows, and a block's (k + 1)-wide
-# distance and index arrays are freed before its thread takes the next, so
-# memory grows neither with k times the cloud size nor with the thread count.
-SOR_BLOCK_ROWS = 1 << 14
+# k-NN result rows outlier removal holds at once at k = 20, over all its
+# threads: each takes blocks of SOR_BLOCK_ROWS // threads rows, and a block's
+# (k + 1)-wide distance and index arrays are freed before its thread takes the
+# next. A larger k holds proportionally fewer rows (SOR_BLOCK_ROWS * 21 / (k + 1)
+# in all), so memory grows neither with k, nor with the cloud size, nor with
+# the thread count.
+SOR_BLOCK_ROWS = 1 << 13
+_SOR_BLOCK_WIDTH = 21  # k + 1 at k = 20
 
 
 @dataclass
@@ -73,52 +76,63 @@ def surface_normals(scene: GaussianScene) -> np.ndarray:
     return normals
 
 
-def remove_statistical_outliers(cloud: PointCloud, k_neighbours: int = 20,
-                                std_ratio: float = 2.0, workers: int = 1) -> PointCloud:
-    """Drop points whose mean k-NN distance exceeds mean + std_ratio * std.
+def remove_statistical_outliers(points: np.ndarray, k_neighbours: int = 20,
+                                std_ratio: float = 2.0, workers: int = 1) -> np.ndarray:
+    """Rows of ``points`` whose mean k-NN distance is at most mean + std_ratio * std.
 
-    Exact nearest neighbours via a KD-tree, queried in blocks of
-    ``SOR_BLOCK_ROWS // thread_workers(workers)`` points taken in the tree's
-    own point order from one queue, which the calling thread and its helpers
-    (``thread_workers(workers)`` threads in all, see :func:`map_threads`)
-    share; each query runs on one thread and releases the GIL, and the
-    threads together hold at most ``SOR_BLOCK_ROWS`` result rows. Each
-    query's result is independent of the split and the order, so the
-    survivors (in their original order) are the same for any worker count
-    and block size.
+    ``points`` is an (n, 3) array of positions, used as it is when it is
+    float64 and converted otherwise; the result is the surviving row indices
+    in increasing order, so ``cloud.take(remove_statistical_outliers(
+    cloud.points))`` is the cleaned cloud. Only positions are read: the
+    caller builds any other column for the survivors alone.
+
+    Exact nearest neighbours via a KD-tree, queried in blocks of points
+    taken in the tree's own point order from one queue, which the calling
+    thread and its helpers (``thread_workers(workers)`` threads in all, see
+    :func:`map_threads`) share; each query runs on one thread and releases
+    the GIL. Each thread's block is its share of ``SOR_BLOCK_ROWS * 21 //
+    (k + 1)`` rows (at least one), so the threads together hold the
+    (k + 1)-wide results of ``SOR_BLOCK_ROWS`` rows at k = 20, and as many
+    bytes at any other k. Each query's result is independent of the split
+    and the order, so the survivors are the same for any worker count and
+    block size. Beside the positions the filter holds the tree (about 15
+    bytes a point), one float64 mean distance a point and the blocks in
+    flight; it returns 8 bytes a survivor.
     """
     if k_neighbours < 1:
         raise DomainError(f"k_neighbours must be >= 1, got {k_neighbours}")
     if not std_ratio > 0:  # also rejects NaN, which would keep no point
         raise DomainError(f"std_ratio must be > 0, got {std_ratio}")
-    if len(cloud) <= k_neighbours:
+    positions = np.asarray(points, dtype=np.float64)  # no copy of a float64 array
+    if len(positions) <= k_neighbours:
         raise DomainError(
-            f"outlier removal needs more than {k_neighbours} points, got {len(cloud)}"
+            f"outlier removal needs more than {k_neighbours} points, got {len(positions)}"
         )
     from scipy.spatial import cKDTree  # imported here so only --mesh-prep loads scipy
 
-    points = cloud.points.astype(np.float64)
     # 64-point leaves, not the default 16: the tree's nodes and indices take
     # about 15 bytes a point rather than 27 and build a little faster, and an
     # exact query returns the same distances whatever the tree's shape
-    tree = cKDTree(points, leafsize=64)
-    mean_distance = np.empty(len(points))
-    block_rows = max(1, SOR_BLOCK_ROWS // thread_workers(workers))
+    tree = cKDTree(positions, leafsize=64)
+    mean_distance = np.empty(len(positions))
+    rows_in_flight = max(1, SOR_BLOCK_ROWS * _SOR_BLOCK_WIDTH // (k_neighbours + 1))
+    block_rows = max(1, rows_in_flight // thread_workers(workers))
 
     def query(start):
         # in the tree's leaf order, neighbouring queries walk the same nodes
         rows = tree.indices[start:start + block_rows]
-        distances = tree.query(points[rows], k=k_neighbours + 1)[0]
+        distances = tree.query(positions[rows], k=k_neighbours + 1)[0]
         mean_distance[rows] = distances[:, 1:].mean(axis=1)  # column 0 is the point itself
 
-    map_threads(query, range(0, len(points), block_rows), workers)
-    del tree, points  # free before take() copies the survivors
+    map_threads(query, range(0, len(positions), block_rows), workers)
+    del tree, positions  # free a converted copy before the survivors are listed
     threshold = mean_distance.mean() + std_ratio * mean_distance.std()
-    keep = mean_distance <= threshold
-    removed = int(np.count_nonzero(~keep))
+    kept = np.flatnonzero(mean_distance <= threshold)
+    removed = len(mean_distance) - len(kept)
     if removed:
-        log.info("statistical outlier removal dropped %d of %d points", removed, len(cloud))
-    return cloud.take(keep)
+        log.info("statistical outlier removal dropped %d of %d points",
+                 removed, len(mean_distance))
+    return kept
 
 
 def export_surface_cloud(scene: GaussianScene,
@@ -126,8 +140,19 @@ def export_surface_cloud(scene: GaussianScene,
     """Sample an oriented point cloud from the surface Gaussians.
 
     Selection -> allocation of ``surface_points`` across the selected subset
-    -> sampling -> per-point normals -> statistical outlier removal. The
-    result is independent of the main cloud's point budget.
+    -> sampling -> statistical outlier removal on the positions -> the
+    survivors' points, colours and normals. The result is independent of
+    the main cloud's point budget.
+
+    The sampled float32 points become the float64 positions the KD-tree
+    needs (an exact cast), and the sampled points and colours are freed, so
+    while the filter runs the stage holds 24 bytes of positions a point
+    beside the filter's own tree, mean distances and blocks. The survivors'
+    float32 points are cast back from the positions block by block; their
+    colours and normals are each Gaussian's quantised colour (the one the
+    sampler gave its points) and normal, repeated by its number of
+    survivors. No point, colour or normal is built for a dropped row; the
+    cloud returned is 27 bytes a point.
     """
     selection = select_surface(scene)
     subset = scene.take(selection.surface_mask)
@@ -136,8 +161,20 @@ def export_surface_cloud(scene: GaussianScene,
              subset.count, scene.count, selection.mean_contribution)
 
     points, colours, accepted, stats = _sample_scene(subset, config.surface_points, config)
-    cloud = PointCloud(points=points, colours=colours,
-                       normals=np.repeat(normals.astype(np.float32), accepted, axis=0))
-    cloud = remove_statistical_outliers(cloud, config.sor_k, config.sor_std,
-                                        workers=thread_workers(config.threads))
+    positions = points.astype(np.float64)
+    del points, colours
+    kept = remove_statistical_outliers(positions, config.sor_k, config.sor_std,
+                                       thread_workers(config.threads))
+    points = np.empty((len(kept), 3), dtype=np.float32)
+    for lo in range(0, len(kept), SOR_BLOCK_ROWS):  # no float64 copy of the survivors
+        points[lo:lo + SOR_BLOCK_ROWS] = positions[kept[lo:lo + SOR_BLOCK_ROWS]]
+    del positions
+    # the points are grouped by Gaussian, accepted[g] rows each in index order,
+    # and every point of a Gaussian has its colour and normal
+    survivors = np.diff(np.searchsorted(kept, np.cumsum(accepted)), prepend=0)
+    del kept
+    cloud = PointCloud(
+        points=points,
+        colours=np.repeat(quantize_colours(subset.point_colours()), survivors, axis=0),
+        normals=np.repeat(normals.astype(np.float32), survivors, axis=0))
     return cloud, stats

@@ -313,7 +313,7 @@ def test_09_surface_pipeline():
         points = rng.standard_normal((1000, 3)).astype(np.float32)
         points[::53] *= 7.0
         raw = PointCloud(points=points, colours=np.zeros((1000, 3), dtype=np.uint8))
-        cleaned = remove_statistical_outliers(raw, 20, 2.0)
+        cleaned = raw.take(remove_statistical_outliers(raw.points, 20, 2.0))
         keep = sor_reference(points, 20, 2.0)
         np.testing.assert_array_equal(cleaned.points, points[keep])
         assert keep.sum() < 1000, "fixture must contain actual outliers"

@@ -59,9 +59,9 @@ def test_traced_conversion_reads_every_counter(tmp_path, rng):
     command = [sys.executable, str(TRACER), str(spans_path), "guard", "--",
                str(scene), str(tmp_path / "cloud.ply"), "--cameras", str(tmp_path / "sparse"),
                "--mesh-prep", "--bbox=-10,-10,-10,10,10,10", "--num-points", "2000",
-               "--surface-points", "500", "--threads", "1"]
+               "--surface-points", "500", "--threads", "1", "--stats-json"]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    subprocess.run(command, env=env, capture_output=True, timeout=120, check=True)
+    run = subprocess.run(command, env=env, capture_output=True, timeout=120, check=True)
 
     records = [json.loads(line) for line in spans_path.read_text().splitlines()]
     (meta,) = [r for r in records if r["kind"] == "meta"]
@@ -71,3 +71,10 @@ def test_traced_conversion_reads_every_counter(tmp_path, rng):
     counted = {s["name"] for s in spans if "counters" in s}
     readers = {span for _, _, span, counters in wrap_table() if counters is not None}
     assert readers <= counted, f"never read: {sorted(readers - counted)}"
+
+    # the outlier-removal counters read the filter's arguments and result, so
+    # a change of its shape must not leave them counting something else
+    surface = json.loads(run.stdout)["surface"]
+    (sor,) = [s for s in spans if s["name"] == "surface.remove_statistical_outliers"]
+    assert sor["counters"]["queries"] == surface["emitted"]
+    assert sor["counters"]["removed"] == surface["emitted"] - surface["after_cleanup"]

@@ -531,7 +531,7 @@ def test_module_run_exits_with_complete_output(tmp_path, scene_ply, colmap_dir):
     assert done.returncode == 0, done.stderr
     stats = json.loads(done.stdout)
     assert list(stats) == ["gaussians", "cameras", "render", "points", "surface", "output",
-                           "surface_output", "timings_seconds"]
+                           "surface_output", "timings_seconds", "dropped"]
     assert stats["timings_seconds"]["total"] > 0
     assert len(read_cloud(out)) == stats["points"]["emitted"] > 0
     assert len(read_cloud(surface_output_path(out))) == stats["surface"]["after_cleanup"] > 0

@@ -5,8 +5,10 @@ tile, the colour pass's parent its contribution state and one worker's
 rows at a time, sampling its draws and one block (at most twice the output
 in all) and
 writing a small part of it, outlier removal a few tens of bytes per point and
-a fixed number of k-NN rows at any thread count, a row subset little more
-than the rows it keeps, and a point cloud's normals check one block of rows.
+a fixed number of k-NN result bytes at any thread count and any k, the
+surface stage the positions alone while its filter runs, a row subset
+little more than the rows it keeps, and a point cloud's normals check one
+block of rows.
 
 numpy reports its buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once, measured in-process.
@@ -18,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splatcloud.config import RenderConfig, SamplerConfig
+from splatcloud.config import RenderConfig, SamplerConfig, SurfaceConfig
 from splatcloud.formats import load_gaussians_ply, write_pointcloud_ply
 from splatcloud.renderer import (
     TILE_BUDGET,
@@ -31,11 +33,11 @@ from splatcloud.renderer import (
 )
 from splatcloud.sampler import SampleBatch, derive_batch_seed, generate_pointcloud, sample_batch
 from splatcloud.scene import GaussianScene, activate
-from splatcloud.surface import remove_statistical_outliers
+from splatcloud.surface import export_surface_cloud, remove_statistical_outliers
 from splatcloud.types import PointCloud, RawGaussians
 from splatcloud.workers import thread_workers
 
-from conftest import frontal_pose, perfbench_gen
+from conftest import frontal_pose, perfbench_gen, seen_from
 
 POINT_BYTES = 15  # one output vertex: xyz float32 + rgb uint8
 
@@ -265,13 +267,13 @@ def test_outlier_removal_memory_does_not_grow_with_k():
     # k = 20 neighbours would cost (k + 1) * 16 = 336 bytes per point if every
     # distance and index were held at once; the float64 copy, the tree's index
     # array, the mean distances and the survivors' copy stay well under 128
-    remove_statistical_outliers(oriented_cloud(100), 20)  # loads scipy untraced
+    remove_statistical_outliers(oriented_cloud(100).points, 20)  # loads scipy untraced
     peaks = {}
     for n in (40_000, 160_000):  # both above one query block
         cloud = oriented_cloud(n)
         tracemalloc.start()
         try:
-            remove_statistical_outliers(cloud, 20, 2.0, workers=2)
+            cloud.take(remove_statistical_outliers(cloud.points, 20, 2.0, workers=2))
             _, peaks[n] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -279,28 +281,72 @@ def test_outlier_removal_memory_does_not_grow_with_k():
     assert slope <= 128, f"outlier removal holds {slope:.0f} bytes per point"
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_outlier_removal_holds_a_fixed_number_of_rows_in_flight(monkeypatch, workers):
-    # its threads share 2^14 k-NN result rows, each a block's k + 1 float64
-    # distances and intp indices and its float64 query point: 21 * 16 + 24
-    # bytes at k = 20. Beside them sit the float64 copy of the positions, the
-    # tree's index array and the mean distances, 40 bytes a point. One
-    # 2^15-row block, or a fixed 2^13-row block per thread at 4 threads,
-    # holds twice the rows
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
-                        raising=False)
-    assert thread_workers(workers) == workers
-    remove_statistical_outliers(oriented_cloud(100), 20)  # loads scipy untraced
-    n = 1 << 17  # 8 blocks at 1 worker, 32 at 4
+def outlier_removal_rows_in_flight(n, k, workers):
+    """Bytes outlier removal held beyond 40 a point, in 2^13 k-NN rows at k = 20.
+
+    A row at k = 20 is its 21 float64 distances and intp indices and its
+    float64 query point, 21 * 16 + 24 bytes. The 40 bytes a point are the
+    float64 copy of the float32 positions, the tree's index array and the
+    mean distances.
+    """
+    remove_statistical_outliers(oriented_cloud(100).points, 20)  # loads scipy untraced
     cloud = oriented_cloud(n)
     tracemalloc.start()
     try:
-        remove_statistical_outliers(cloud, 20, 2.0, workers=workers)
+        cloud.take(remove_statistical_outliers(cloud.points, k, 2.0, workers=workers))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    in_flight = (peak - 40 * n) / ((1 << 14) * (21 * 16 + 24))
-    assert in_flight <= 1.2, f"outlier removal holds {in_flight:.2f}x 2^14 rows in flight"
+    return (peak - 40 * n) / ((1 << 13) * (21 * 16 + 24))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_outlier_removal_holds_a_fixed_number_of_rows_in_flight(monkeypatch, workers):
+    # its threads share 2^13 k-NN result rows at k = 20. One 2^14-row block,
+    # or a fixed 2^12-row block per thread at 4 threads, holds twice the rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    assert thread_workers(workers) == workers
+    in_flight = outlier_removal_rows_in_flight(1 << 17, 20, workers)  # 16 blocks at 1 worker
+    assert in_flight <= 1.2, f"outlier removal holds {in_flight:.2f}x 2^13 rows in flight"
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_outlier_removal_rows_in_flight_do_not_grow_with_k(monkeypatch, workers):
+    # a k = 200 row holds 201 distances and indices: at 2^13 rows a block
+    # would hold about 9.5x the bytes of k = 20, so the blocks shrink by 21 / 201
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    in_flight = outlier_removal_rows_in_flight(1 << 17, 200, workers)
+    assert in_flight <= 1.2, f"outlier removal at k = 200 holds {in_flight:.2f}x " \
+        "the bytes of 2^13 rows at k = 20"
+
+
+def test_surface_export_holds_positions_only_while_filtering():
+    # while the filter runs, the stage holds each surface point's float64
+    # position (24 bytes), the tree's index and the mean distance (8 each);
+    # building the survivors' float32 points then holds the positions, the
+    # survivors' row indices and the new points, about 43 bytes a point. The
+    # sampled float32 points and per-point normals beside the filter, and a
+    # copy of the survivors out of that cloud, measured 67 bytes a point; this
+    # measured 40
+    scene = varied_scene(2000)
+    scene.contribution = seen_from(scene.count, [0.0, 0.0, -5.0])
+    scene.contribution.best_contribution[:] = np.random.default_rng(4).uniform(
+        0.0, 1.0, scene.count)
+    export_surface_cloud(scene, SurfaceConfig(seed=2, threads=2, surface_points=1000))  # scipy
+    peaks, emitted = {}, {}
+    for total in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            _, stats = export_surface_cloud(
+                scene, SurfaceConfig(seed=2, threads=2, surface_points=total))
+            _, peaks[total] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        emitted[total] = stats.emitted
+    slope = (peaks[400_000] - peaks[100_000]) / (emitted[400_000] - emitted[100_000])
+    assert slope <= 50, f"the surface stage holds {slope:.0f} bytes per surface point"
 
 
 def test_take_holds_little_more_than_the_kept_rows():

@@ -204,13 +204,14 @@ def test_stats_report_schema():
     render = RenderStats(images_rendered=2, tiles=3, tiles_subdivided=1, max_tile_product=40,
                          singular_skips=0, pairs_evaluated=100, pixels_terminated=7)
     stats = PipelineStats(
-        gaussians_loaded=10, gaussians_after_filters=9, gaussians_after_cull=8, cameras=2,
+        gaussians_loaded=10, gaussians_invalid=4, gaussians_after_activate=10,
+        gaussians_after_filters=9, gaussians_after_cull=8, cameras=2,
         render=render, points=SampleStats(100, 99, 98, 5),
         surface_points=SampleStats(50, 49, 48, 3), surface_points_after_cleanup=40,
         output="cloud.ply", surface_output="cloud_surface.ply", timings_seconds={"total": 1.0})
     report = stats.as_dict()
     assert list(report) == ["gaussians", "cameras", "render", "points", "surface", "output",
-                            "surface_output", "timings_seconds"]
+                            "surface_output", "timings_seconds", "dropped"]
     # items, not dicts, so the key order of the JSON body is pinned too
     assert list(report["gaussians"].items()) == [
         ("loaded", 10), ("after_filters", 9), ("after_cull", 8)]
@@ -225,9 +226,15 @@ def test_stats_report_schema():
     assert report["output"] == "cloud.ply"
     assert report["surface_output"] == "cloud_surface.ply"
     assert report["timings_seconds"] == {"total": 1.0}
+    assert list(report["dropped"].items()) == [
+        ("invalid_at_load", 4), ("degenerate_at_activate", 0), ("filtered", 1), ("culled", 1),
+        ("rejected_draws", 5), ("surface_rejected_draws", 3), ("outliers_removed", 8)]
 
 
 def test_stats_report_without_stages():
     report = PipelineStats().as_dict()
     assert report["render"] is None and report["points"] is None
     assert report["surface"] is None and report["surface_output"] is None
+    assert report["dropped"]["rejected_draws"] is None
+    assert report["dropped"]["surface_rejected_draws"] is None
+    assert report["dropped"]["outliers_removed"] is None

@@ -31,8 +31,8 @@ from splatcloud.sampler import (
     quantize_colours,
     sample_batch,
 )
-from splatcloud.scene import ContributionState, activate, cholesky3, dot3, filter_scene
-from splatcloud.types import RawGaussians
+from splatcloud.scene import ContributionState, activate, cholesky3, filter_scene
+from splatcloud.types import RawGaussians, dot3
 
 from conftest import perfbench_gen, random_records, random_scene
 

@@ -164,7 +164,7 @@ def sphere_cloud(rng, n=100, radius=1.0):
 def test_far_outlier_removed(rng):
     points = np.vstack([sphere_cloud(rng), [[100.0, 0.0, 0.0]]]).astype(np.float32)
     cloud = PointCloud(points=points, colours=np.zeros((101, 3), dtype=np.uint8))
-    cleaned = remove_statistical_outliers(cloud, k_neighbours=10, std_ratio=2.0)
+    cleaned = cloud.take(remove_statistical_outliers(cloud.points, k_neighbours=10, std_ratio=2.0))
     assert len(cleaned) == 100
     assert np.all(np.linalg.norm(cleaned.points, axis=1) < 2.0)
 
@@ -174,7 +174,7 @@ def test_uniform_grid_keeps_everything():
     grid = np.stack(np.meshgrid(np.arange(5), np.arange(5), np.arange(5)),
                     axis=-1).reshape(-1, 3).astype(np.float32)
     cloud = PointCloud(points=grid, colours=np.zeros((125, 3), dtype=np.uint8))
-    cleaned = remove_statistical_outliers(cloud, k_neighbours=1, std_ratio=2.0)
+    cleaned = cloud.take(remove_statistical_outliers(cloud.points, k_neighbours=1, std_ratio=2.0))
     assert len(cleaned) == 125
 
 
@@ -182,7 +182,7 @@ def test_matches_bruteforce_oracle(rng):
     points = rng.standard_normal((1000, 3)).astype(np.float32)
     points[::97] *= 6.0  # sprinkle outliers
     cloud = PointCloud(points=points, colours=np.zeros((1000, 3), dtype=np.uint8))
-    cleaned = remove_statistical_outliers(cloud, k_neighbours=20, std_ratio=2.0)
+    cleaned = cloud.take(remove_statistical_outliers(cloud.points, k_neighbours=20, std_ratio=2.0))
     keep = sor_reference(points, 20, 2.0)
     np.testing.assert_array_equal(cleaned.points, points[keep])
 
@@ -191,7 +191,7 @@ def test_survivor_order_preserved(rng):
     points = rng.standard_normal((300, 3)).astype(np.float32)
     colours = np.arange(900, dtype=np.uint32).reshape(300, 3) % 256
     cloud = PointCloud(points=points, colours=colours.astype(np.uint8))
-    cleaned = remove_statistical_outliers(cloud, k_neighbours=10, std_ratio=1.5)
+    cleaned = cloud.take(remove_statistical_outliers(cloud.points, k_neighbours=10, std_ratio=1.5))
     keep = sor_reference(points, 10, 1.5)
     np.testing.assert_array_equal(cleaned.colours, cloud.colours[keep])
 
@@ -201,8 +201,8 @@ def test_same_survivors_at_any_worker_count(rng):
     points[::101] *= 5.0
     colours = rng.integers(0, 256, (3000, 3), dtype=np.uint8)
     cloud = PointCloud(points=points, colours=colours)
-    one = remove_statistical_outliers(cloud, 20, 2.0, workers=1)
-    two = remove_statistical_outliers(cloud, 20, 2.0, workers=2)
+    one = cloud.take(remove_statistical_outliers(cloud.points, 20, 2.0, workers=1))
+    two = cloud.take(remove_statistical_outliers(cloud.points, 20, 2.0, workers=2))
     assert len(one) < len(cloud)
     assert one.points.tobytes() == two.points.tobytes()
     assert one.colours.tobytes() == two.colours.tobytes()
@@ -219,9 +219,10 @@ def test_same_survivors_at_any_block_size(monkeypatch, rng, workers):
                        normals=normals)
     expected = cloud.take(sor_reference(points, 12, 1.5))
     assert len(expected) < n
-    for block_rows in (7, n, 4 * n):  # 7 does not divide n
+    # at k = 12, 12 gives blocks of 19 rows at 1 thread, 9 at 2 and 6 at 3: none divides n
+    for block_rows in (7, 12, n, 4 * n):
         monkeypatch.setattr(surface, "SOR_BLOCK_ROWS", block_rows)
-        cleaned = remove_statistical_outliers(cloud, 12, 1.5, workers=workers)
+        cleaned = cloud.take(remove_statistical_outliers(cloud.points, 12, 1.5, workers=workers))
         assert cleaned.points.tobytes() == expected.points.tobytes()
         assert cleaned.colours.tobytes() == expected.colours.tobytes()
         assert cleaned.normals.tobytes() == expected.normals.tobytes()
@@ -240,9 +241,9 @@ def fibonacci_sphere(n):
 def test_idempotent_on_sphere_fixture():
     points = np.vstack([fibonacci_sphere(200), [[50.0, 0.0, 0.0]]]).astype(np.float32)
     cloud = PointCloud(points=points, colours=np.zeros((201, 3), dtype=np.uint8))
-    once = remove_statistical_outliers(cloud, 15, 2.0)
+    once = cloud.take(remove_statistical_outliers(cloud.points, 15, 2.0))
     assert len(once) == 200  # exactly the far point goes
-    twice = remove_statistical_outliers(once, 15, 2.0)
+    twice = once.take(remove_statistical_outliers(once.points, 15, 2.0))
     assert len(twice) == len(once)
 
 
@@ -250,7 +251,7 @@ def test_too_few_points_error(rng):
     cloud = PointCloud(points=np.zeros((5, 3), dtype=np.float32),
                        colours=np.zeros((5, 3), dtype=np.uint8))
     with pytest.raises(DomainError):
-        remove_statistical_outliers(cloud, k_neighbours=5)
+        cloud.take(remove_statistical_outliers(cloud.points, k_neighbours=5))
 
 
 @pytest.mark.parametrize("std_ratio", [0.0, -1.0, float("nan")])
@@ -258,7 +259,7 @@ def test_non_positive_or_nan_std_ratio_error(rng, std_ratio):
     cloud = PointCloud(points=rng.standard_normal((50, 3)),
                        colours=np.zeros((50, 3), dtype=np.uint8))
     with pytest.raises(DomainError, match="std_ratio"):
-        remove_statistical_outliers(cloud, 10, std_ratio)
+        cloud.take(remove_statistical_outliers(cloud.points, 10, std_ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,8 @@ def test_every_surface_point_carries_its_gaussians_normal(monkeypatch, threads):
     scene = random_scene(rng, 300, log_scale_range=(-5.0, 0.5))
     scene.contribution = seen_from(scene.count, [0.0, 0.0, -5.0])
     scene.contribution.best_contribution[:] = rng.uniform(0.0, 1.0, scene.count)
-    monkeypatch.setattr(surface, "remove_statistical_outliers", lambda cloud, *_, **__: cloud)
+    monkeypatch.setattr(surface, "remove_statistical_outliers",
+                        lambda points, *_, **__: np.arange(len(points)))
     config = SurfaceConfig(sigma=1.0, max_resample_rounds=1, seed=8, threads=threads,
                            surface_points=30_000)
     cloud, _ = export_surface_cloud(scene, config)

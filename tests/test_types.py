@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from splatcloud.errors import DomainError
-from splatcloud.scene import ContributionState
+from splatcloud.scene import ContributionState, quats_to_rotmats
 from splatcloud.types import CameraPose, PointCloud, RawGaussians
 
 from conftest import random_scene
+from reference import sum3_reference
 
 
 def make_pose(**overrides):
@@ -79,6 +80,26 @@ def test_camera_centre_inverts_translation():
     pose = make_pose(world_to_camera=w2c)
     recovered = pose.rotation @ pose.camera_centre + pose.translation
     np.testing.assert_allclose(recovered, np.zeros(3), atol=1e-14)
+
+
+def test_camera_centre_adds_its_sums_in_dot3_order():
+    # -R^T t, each 3-term sum added as (j0 + j2) + j1; on these poses another
+    # order changes bits
+    rng = np.random.default_rng(11)
+    centres, expected, left_to_right = [], [], []
+    for _ in range(20):
+        quat = rng.standard_normal(4)
+        w2c = np.eye(4)
+        w2c[:3, :3] = quats_to_rotmats(quat / np.linalg.norm(quat))
+        w2c[:3, 3] = rng.uniform(-10.0, 10.0, 3)
+        pose = make_pose(world_to_camera=w2c)
+        rot, shift = pose.rotation.tolist(), pose.translation.tolist()
+        terms = [[rot[j][i] * shift[j] for j in range(3)] for i in range(3)]
+        centres.append(pose.camera_centre.tolist())
+        expected.append([-sum3_reference(*row) for row in terms])
+        left_to_right.append([-((t0 + t1) + t2) for t0, t1, t2 in terms])
+    assert expected != left_to_right
+    assert centres == expected
 
 
 def test_pointcloud_length_mismatch():
