@@ -121,7 +121,7 @@ class RawGaussians:
         log.warning("%s: dropped %d invalid records (non-finite value or zero quaternion)",
                     source, dropped)
         subset = self.take(keep)
-        subset.invalid_dropped = self.invalid_dropped + dropped
+        subset.invalid_dropped = dropped
         return subset
 
 
