@@ -25,8 +25,9 @@ from .pipeline import run
 log = logging.getLogger(__name__)
 
 
-# Options that are not config fields: config-file key -> parser.
-_COMMAND_OPTIONS = {"stats_json": parse_bool, "verbose": parse_bool}
+# Boolean flags that are not config fields: config-file key -> help.
+_COMMAND_FLAGS = {"stats_json": "print a machine-readable statistics block to stdout",
+                  "verbose": "debug logging"}
 
 
 def _option_fields():
@@ -54,16 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar=meta["metavar"], help=help_text)
     parser.add_argument("--config", metavar="PATH",
                         help="key=value file providing defaults for any flag")
-    parser.add_argument("--stats-json", action="store_true",
-                        help="print a machine-readable statistics block to stdout")
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
+    for key, help_text in _COMMAND_FLAGS.items():
+        parser.add_argument(option_flag(key), action="store_true", help=help_text)
     return parser
 
 
 def load_config_file(path: Path) -> dict:
     """Parse a key=value config file into option values keyed by field name."""
     parsers = {option_key(f): (f.name, f.metadata["parse"]) for f in _option_fields()}
-    parsers.update((key, (key, parse)) for key, parse in _COMMAND_OPTIONS.items())
+    parsers.update((key, (key, parse_bool)) for key in _COMMAND_FLAGS)
     values = {}
     try:
         text = Path(path).read_text()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import FileFormatError
-from ..types import CameraPose
+from ..types import CameraPose, dot3
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +42,28 @@ def _frame_intrinsics(frame: dict, contents: dict, where: str):
                 float(pick("cy", height / 2.0)), width, height)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as err:
         raise FileFormatError(f"{where}: intrinsics must be numbers ({err})") from err
+
+
+def _invert_camera_to_world(c2w: np.ndarray, where: str) -> np.ndarray:
+    """World-to-camera ``[A^-1, -A^-1 t]`` of a camera-to-world ``[A, t; 0 0 0 1]``.
+
+    ``A^-1`` is the adjugate over the determinant; column i of the adjugate
+    is the cross product of rows i + 1 and i + 2 of ``A``, one product
+    difference an entry. The determinant and ``A^-1 t`` add their three
+    terms with ``dot3``, so no linear-algebra kernel picks the bits.
+    """
+    if c2w[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
+        raise FileFormatError(f"{where}: transform_matrix bottom row is not 0 0 0 1")
+    a, t = c2w[:3, :3], c2w[:3, 3]
+    inverse = np.eye(4)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        adjugate_columns = np.cross(a[[1, 2, 0]], a[[2, 0, 1]])
+        det = dot3(a[0], adjugate_columns[0])
+        inverse[:3, :3] = adjugate_columns.T / det
+        inverse[:3, 3] = -dot3(inverse[:3, :3], t)
+    if not (det != 0.0 and np.isfinite(inverse).all()):
+        raise FileFormatError(f"{where}: transform_matrix is not invertible")
+    return inverse
 
 
 def load_cameras_nerf_json(path) -> list[CameraPose]:
@@ -79,12 +101,7 @@ def load_cameras_nerf_json(path) -> list[CameraPose]:
             raise FileFormatError(f"{where}: transform_matrix is not 4x4")
         # OpenGL -> COLMAP: flip the y and z camera axes (of this copy), then invert.
         c2w[:3, 1:3] *= -1.0
-        try:
-            world_to_camera = np.linalg.inv(c2w)
-        except np.linalg.LinAlgError as err:
-            raise FileFormatError(f"{where}: transform_matrix is not invertible") from err
-        if not np.all(np.isfinite(world_to_camera)):
-            raise FileFormatError(f"{where}: transform_matrix is not invertible")
+        world_to_camera = _invert_camera_to_world(c2w, where)
 
         fx, fy, cx, cy, width, height = _frame_intrinsics(frame, contents, where)
         poses.append(CameraPose(

@@ -42,9 +42,8 @@ import numpy as np
 from .config import RenderConfig
 from .errors import DomainError
 from .formats import atomic_write
-from .sampler import quantize_colours
 from .scene import ContributionState, GaussianScene
-from .types import CameraPose, dot3
+from .types import CameraPose, dot3, quantize_colours
 from .workers import fork_workers, map_forked
 
 log = logging.getLogger(__name__)

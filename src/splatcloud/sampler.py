@@ -15,7 +15,7 @@ import numpy as np
 from .config import SamplerConfig
 from .errors import DomainError
 from .scene import GaussianScene, cholesky3
-from .types import PointCloud, dot3
+from .types import PointCloud, dot3, quantize_colours
 from .workers import map_threads
 
 log = logging.getLogger(__name__)
@@ -129,21 +129,22 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
     All of ``z`` is drawn before any redraw, which fixes the generator's
     stream. The acceptance test, each redraw round (in pieces of pending
     slots, which take the same numbers from the stream), and the transform
-    with its range check, float32 cast and colour quantisation run over
-    blocks of about ``SAMPLE_BLOCK_POINTS`` points; the transform forms one
-    coordinate at a time. Each block's draws go straight to their rows: the
-    r-th kept draw of Gaussian g lands at row ``starts[g] + r`` of
-    ``out = (points, colours, starts)``, and the rows a short Gaussian leaves
-    unused are not touched. So a batch holds its float64 draws, one flag per
-    draw and one block's temporaries. Without ``out`` the batch fills its
-    own arrays, each Gaussian's draws back to back.
+    with its range check and float32 cast run over blocks of about
+    ``SAMPLE_BLOCK_POINTS`` points; the transform forms one coordinate at a
+    time. Each block's draws go straight to their rows: the r-th kept draw
+    of Gaussian g lands at row ``starts[g] + r`` of ``out = (points,
+    starts)``, and the rows a short Gaussian leaves unused are not touched.
+    So a batch holds its float64 draws, one flag per draw and one block's
+    temporaries. Without ``out`` the batch fills its own array, each
+    Gaussian's draws back to back.
 
     Every 3-term sum, the transform's ``(L z)_i`` and the norm ``||z||^2``,
     is added in the fixed order ``(j0 + j2) + j1`` (see :func:`dot3`), so
     the bytes do not depend on numpy's summation kernels.
 
     Returns (points float32, colours uint8, accepted_per_gaussian,
-    rejected_draws): the arrays written and the batch's counts.
+    rejected_draws). With ``out`` the colours are ``None``: the batch places
+    points only, and the caller colours the cloud once with :func:`colour_points`.
     """
     if not sigma_threshold > 0:  # NaN fails this test too
         raise DomainError(f"sigma threshold must be > 0, got {sigma_threshold}")
@@ -185,14 +186,11 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
         drawn = accepted.sum(axis=1)
         first = np.cumsum(drawn) - drawn
         points = np.empty((int(drawn.sum()), 3), dtype=np.float32)
-        colours = np.empty((len(points), 3), dtype=np.uint8)
     else:
-        points, colours, starts = out
+        points, starts = out
         first = starts[indices]
-    # whole-row views: one 12-byte point or 3-byte colour per element, so a
-    # scatter moves rows rather than (n, 3) elements
-    point_rows, colour_rows = _rows(points), _rows(colours)
-    source = scene.point_colours()
+    # a whole-row view, so a scatter moves 12-byte rows, not (n, 3) elements
+    point_rows = _rows(points)
     kept_counts = np.empty(k, dtype=np.int64)
     for members in blocks:
         gaussians = indices[members]
@@ -215,13 +213,12 @@ def sample_batch(batch: SampleBatch, scene: GaussianScene, sigma_threshold: floa
         rows = np.repeat(first[members] - (np.cumsum(kept) - kept), kept) \
             + np.arange(kept.sum())
         point_rows[rows] = _rows(moved32)[keep]
-        colour_rows[rows] = np.repeat(_rows(quantize_colours(source[gaussians])), kept)
 
-    if out is None:  # close the rows that out-of-range draws left unused
-        _close_gaps((points, colours), first, drawn, kept_counts)
-        emitted = int(kept_counts.sum())
-        points, colours = points[:emitted], colours[:emitted]
-    return points, colours, kept_counts, rejected
+    if out is not None:
+        return points, None, kept_counts, rejected
+    _close_gaps(points, first, drawn, kept_counts)  # rows out-of-range draws left unused
+    return points[:int(kept_counts.sum())], colour_points(scene, kept_counts, indices), \
+        kept_counts, rejected
 
 
 def _rows(array: np.ndarray) -> np.ndarray:
@@ -229,9 +226,9 @@ def _rows(array: np.ndarray) -> np.ndarray:
     return array.view(np.dtype((np.void, 3 * array.itemsize)))[..., 0]
 
 
-def quantize_colours(colours_unit: np.ndarray) -> np.ndarray:
-    """[0, 1] floats to uint8 with round-half-up per channel."""
-    return np.clip(np.floor(colours_unit * 255.0 + 0.5), 0, 255).astype(np.uint8)
+def colour_points(scene: GaussianScene, counts: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Colours of points grouped by Gaussian: Gaussian ``rows[i]``'s, ``counts[i]`` times."""
+    return np.repeat(quantize_colours(scene.point_colours()[rows]), counts, axis=0)
 
 
 def build_batches(counts: np.ndarray, seed: int) -> list[SampleBatch]:
@@ -256,10 +253,10 @@ def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
     the allocated counts. Each worker's :func:`sample_batch` writes its
     draws straight to their rows, so points arrive in Gaussian-index order
     without a sort and no batch result is held. Draws that were dropped
-    leave gaps at the end of their Gaussian's rows, which
-    :func:`_close_gaps` then closes in place.
+    leave gaps at the end of their Gaussian's rows, which :func:`_close_gaps`
+    then closes in place. The caller colours the points with :func:`colour_points`.
 
-    Returns (points float32, colours uint8, accepted per Gaussian, stats).
+    Returns (points float32, accepted per Gaussian, stats).
     """
     if scene.count == 0:
         raise DomainError("cannot sample from an empty scene")
@@ -268,24 +265,22 @@ def _sample_scene(scene: GaussianScene, total: int, config: SamplerConfig):
     starts = np.cumsum(counts) - counts
     allocated = int(counts.sum())
     points = np.empty((allocated, 3), dtype=np.float32)
-    colours = np.empty((allocated, 3), dtype=np.uint8)
     accepted = np.zeros(scene.count, dtype=np.int64)
 
     def run(batch: SampleBatch) -> int:
         _, _, batch_accepted, rejected = sample_batch(
-            batch, scene, config.sigma, config.max_resample_rounds,
-            out=(points, colours, starts))
+            batch, scene, config.sigma, config.max_resample_rounds, out=(points, starts))
         accepted[batch.gaussian_indices] = batch_accepted
         return rejected
 
     rejected = sum(map_threads(run, build_batches(counts, config.seed), config.threads))
     stats = SampleStats(requested=total, allocated=allocated, emitted=int(accepted.sum()),
                         rejected=rejected)
-    _close_gaps((points, colours), starts, counts, accepted)
-    return points[:stats.emitted], colours[:stats.emitted], accepted, stats
+    _close_gaps(points, starts, counts, accepted)
+    return points[:stats.emitted], accepted, stats
 
 
-def _close_gaps(columns, starts: np.ndarray, counts: np.ndarray,
+def _close_gaps(points: np.ndarray, starts: np.ndarray, counts: np.ndarray,
                 accepted: np.ndarray) -> None:
     """Move every Gaussian's accepted rows to the front of the cloud, in place.
 
@@ -298,13 +293,12 @@ def _close_gaps(columns, starts: np.ndarray, counts: np.ndarray,
     """
     short = np.nonzero(accepted < counts)[0]
     run_from = starts[short] + counts[short]
-    run_to = np.append(starts[short[1:]] + accepted[short[1:]], len(columns[0]))
+    run_to = np.append(starts[short[1:]] + accepted[short[1:]], len(points))
     shifts = np.cumsum(counts[short] - accepted[short])
     for first, end, shift in zip(run_from.tolist(), run_to.tolist(), shifts.tolist()):
         for lo in range(first, end, SAMPLE_BLOCK_POINTS):
             hi = min(lo + SAMPLE_BLOCK_POINTS, end)
-            for column in columns:
-                column[lo - shift:hi - shift] = column[lo:hi]
+            points[lo - shift:hi - shift] = points[lo:hi]
 
 
 def generate_pointcloud(scene: GaussianScene, total: int,
@@ -315,8 +309,8 @@ def generate_pointcloud(scene: GaussianScene, total: int,
     its own row offset; with a fixed seed the result is bit-identical across
     runs and worker counts.
     """
-    points, colours, _, stats = _sample_scene(scene, total, config)
-    cloud = PointCloud(points=points, colours=colours)
+    points, accepted, stats = _sample_scene(scene, total, config)
+    cloud = PointCloud(points=points, colours=colour_points(scene, accepted))
     log.info("sampled %d points (requested %d, allocated %d, rejected draws %d)",
              stats.emitted, stats.requested, stats.allocated, stats.rejected)
     return cloud, stats

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import SurfaceConfig
 from .errors import DomainError
-from .sampler import SampleStats, _sample_scene, quantize_colours
+from .sampler import SampleStats, _sample_scene, colour_points
 from .scene import UNSEEN_KEY, GaussianScene, quats_to_rotmats
 from .types import PointCloud, dot3
 from .workers import map_threads, thread_workers
@@ -144,15 +144,15 @@ def export_surface_cloud(scene: GaussianScene,
     survivors' points, colours and normals. The result is independent of
     the main cloud's point budget.
 
-    The sampled float32 points become the float64 positions the KD-tree
-    needs (an exact cast), and the sampled points and colours are freed, so
-    while the filter runs the stage holds 24 bytes of positions a point
-    beside the filter's own tree, mean distances and blocks. The survivors'
-    float32 points are cast back from the positions block by block; their
-    colours and normals are each Gaussian's quantised colour (the one the
-    sampler gave its points) and normal, repeated by its number of
-    survivors. No point, colour or normal is built for a dropped row; the
-    cloud returned is 27 bytes a point.
+    The sampler places points only. Its float32 points become the float64
+    positions the KD-tree needs (an exact cast) and are freed, so while the
+    filter runs the stage holds 24 bytes of positions a point beside the
+    filter's own tree, mean distances and blocks. The survivors' float32
+    points are cast back from the positions block by block; their colours
+    (:func:`~splatcloud.sampler.colour_points`) and normals are each
+    Gaussian's, repeated by its number of survivors. No point, colour or
+    normal is built for a dropped row; the cloud returned is 27 bytes a
+    point.
     """
     selection = select_surface(scene)
     subset = scene.take(selection.surface_mask)
@@ -160,9 +160,9 @@ def export_surface_cloud(scene: GaussianScene,
     log.info("surface selection kept %d of %d gaussians (mean contribution %.4g)",
              subset.count, scene.count, selection.mean_contribution)
 
-    points, colours, accepted, stats = _sample_scene(subset, config.surface_points, config)
+    points, accepted, stats = _sample_scene(subset, config.surface_points, config)
     positions = points.astype(np.float64)
-    del points, colours
+    del points
     kept = remove_statistical_outliers(positions, config.sor_k, config.sor_std,
                                        thread_workers(config.threads))
     points = np.empty((len(kept), 3), dtype=np.float32)
@@ -175,6 +175,6 @@ def export_surface_cloud(scene: GaussianScene,
     del kept
     cloud = PointCloud(
         points=points,
-        colours=np.repeat(quantize_colours(subset.point_colours()), survivors, axis=0),
+        colours=colour_points(subset, survivors),
         normals=np.repeat(normals.astype(np.float32), survivors, axis=0))
     return cloud, stats

@@ -196,6 +196,11 @@ def _worst_unit_deviation(normals: np.ndarray) -> float:
     return np.abs(np.linalg.norm(normals.astype(np.float64), axis=1) - 1.0).max()
 
 
+def quantize_colours(colours_unit: np.ndarray) -> np.ndarray:
+    """[0, 1] floats to uint8 with round-half-up per channel."""
+    return np.clip(np.floor(colours_unit * 255.0 + 0.5), 0, 255).astype(np.uint8)
+
+
 @dataclass
 class PointCloud:
     """Positions with 8-bit colours and optional unit normals."""

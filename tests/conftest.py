@@ -19,9 +19,8 @@ sys.path.insert(0, str(Path(__file__).parent))  # for `import reference`
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 from splatcloud.errors import DomainError
-from splatcloud.sampler import quantize_colours
 from splatcloud.scene import SH_C0, ContributionState, activate, sigmoid
-from splatcloud.types import CameraPose, RawGaussians
+from splatcloud.types import CameraPose, RawGaussians, quantize_colours
 
 try:
     from hypothesis import settings

@@ -209,7 +209,7 @@ def test_05_mahalanobis_hard_bound():
         # route instead (the oracle's explicit inverse of Sigma)
         for sigma in (1.5, 2.0, 2.5, 3.0):
             scene = random_scene(rng, 30, spread=2.0)
-            points, _, accepted, _ = _sample_scene(
+            points, accepted, _ = _sample_scene(
                 scene, 30_000, SamplerConfig(sigma=sigma, exact=True,
                                              seed=int(rng.integers(1 << 31)), threads=1))
             gaussian_ids = np.repeat(np.arange(scene.count), accepted)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from reference import sum3_reference
 from splatcloud.errors import FileFormatError
 from splatcloud.formats import load_cameras_nerf_json
+from splatcloud.scene import quats_to_rotmats
 
 
 def write_json(path, payload):
@@ -123,3 +125,56 @@ def test_malformed_frames_are_format_errors_naming_the_frame(tmp_path, payload, 
     path = write_json(tmp_path / "transforms.json", payload)
     with pytest.raises(FileFormatError, match=where):
         load_cameras_nerf_json(path)
+
+
+def test_bottom_row_other_than_affine_is_error(tmp_path):
+    matrix = np.eye(4)
+    matrix[3, 0] = 0.5  # invertible, but not a rigid camera-to-world transform
+    path = write_json(tmp_path / "transforms.json", {
+        "camera_angle_x": 0.9,
+        "frames": [{"file_path": "r_0", "transform_matrix": matrix.tolist()}],
+    })
+    with pytest.raises(FileFormatError, match="frame 0: transform_matrix bottom row"):
+        load_cameras_nerf_json(path)
+
+
+def inverse_reference(c2w, add):
+    """World-to-camera of a NeRF camera-to-world, in Python floats.
+
+    The y and z axes of ``A`` are flipped; ``A^-1`` is the adjugate, whose
+    column i is the cross product of rows i + 1 and i + 2 (one product
+    difference an entry), over the determinant; ``add`` adds the three terms
+    of the determinant and of each entry of ``A^-1 t``.
+    """
+    a = [[row[0], -row[1], -row[2]] for row in c2w[:3, :3].tolist()]
+    t = c2w[:3, 3].tolist()
+    columns = []
+    for i in range(3):
+        u, v = a[(i + 1) % 3], a[(i + 2) % 3]
+        columns.append([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                        u[0] * v[1] - u[1] * v[0]])
+    det = add(*(x * y for x, y in zip(a[0], columns[0])))
+    rows = [[columns[j][i] / det for j in range(3)] for i in range(3)]
+    return [row + [-add(*(x * y for x, y in zip(row, t)))] for row in rows] \
+        + [[0.0, 0.0, 0.0, 1.0]]
+
+
+def test_inverse_adds_its_sums_in_dot3_order(tmp_path):
+    # each 3-term sum added as (j0 + j2) + j1; on these poses adding them
+    # left to right changes bits
+    rng = np.random.default_rng(21)
+    matrices = []
+    for _ in range(20):
+        quat = rng.standard_normal(4)
+        c2w = np.eye(4)
+        c2w[:3, :3] = quats_to_rotmats(quat / np.linalg.norm(quat))
+        c2w[:3, 3] = rng.uniform(-10.0, 10.0, 3)
+        matrices.append(c2w)
+    path = write_json(tmp_path / "transforms.json", {"camera_angle_x": 0.9, "frames": [
+        {"file_path": f"r_{i:02d}", "transform_matrix": c2w.tolist()}
+        for i, c2w in enumerate(matrices)]})
+    expected = [inverse_reference(c2w, sum3_reference) for c2w in matrices]
+    left_to_right = [inverse_reference(c2w, lambda t0, t1, t2: (t0 + t1) + t2)
+                     for c2w in matrices]
+    assert expected != left_to_right
+    assert [pose.world_to_camera.tolist() for pose in load_cameras_nerf_json(path)] == expected

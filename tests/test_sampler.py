@@ -25,14 +25,14 @@ from splatcloud.sampler import (
     SampleBatch,
     allocate,
     build_batches,
+    colour_points,
     derive_batch_seed,
     gaussian_volume,
     generate_pointcloud,
-    quantize_colours,
     sample_batch,
 )
 from splatcloud.scene import ContributionState, activate, cholesky3, filter_scene
-from splatcloud.types import RawGaussians, dot3
+from splatcloud.types import RawGaussians, dot3, quantize_colours
 
 from conftest import perfbench_gen, random_records, random_scene
 
@@ -360,8 +360,7 @@ def test_sample_batch_matches_draw_oracle(monkeypatch, count, members, rounds, b
         # each Gaussian owns count + 3 rows, in reverse index order, after 5 spare rows
         starts = (scene.count - 1 - np.arange(scene.count)) * (count + 3) + 5
         size = scene.count * (count + 3) + 5
-        out = (np.full((size, 3), -7.0, dtype=np.float32),
-               np.full((size, 3), 9, dtype=np.uint8), starts)
+        out = (np.full((size, 3), -7.0, dtype=np.float32), starts)
     points, colours, accepted, rejected = sample_batch(batch, scene, 1.5, rounds, out=out)
     assert rejected == expected_rejected > 0
     np.testing.assert_array_equal(accepted, expected_accepted)
@@ -370,8 +369,9 @@ def test_sample_batch_matches_draw_oracle(monkeypatch, count, members, rounds, b
                                for g, n in zip(batch.gaussian_indices, accepted)])
         untouched = np.ones(len(points), dtype=bool)
         untouched[rows] = False
-        assert (points[untouched] == -7.0).all() and (colours[untouched] == 9).all()
-        points, colours = points[rows], colours[rows]
+        assert (points[untouched] == -7.0).all() and colours is None
+        points = points[rows]
+        colours = colour_points(scene, accepted, batch.gaussian_indices)
     assert points.tobytes() == expected.tobytes()
     assert colours.tobytes() == expected_colours.tobytes()
 
